@@ -7,8 +7,8 @@ import (
 )
 
 // Cached plans must be safe to share across goroutines: the radix-2 and
-// Bluestein states are read-only after construction, and each Forward call
-// operates on caller-owned buffers.
+// Bluestein tables are read-only after construction, each Forward call
+// operates on caller-owned buffers, and scratch comes from a pool.
 func TestConcurrentTransforms(t *testing.T) {
 	const n = 96 // Bluestein path (not a power of two)
 	ref := randomSignal(n, 99)
@@ -56,4 +56,38 @@ func TestConcurrentPlanCreation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// The 2-D entry points share pooled column and Bluestein buffers across
+// goroutines; every goroutine must still get its own exact result.
+func TestConcurrent2DTransforms(t *testing.T) {
+	const n = 48
+	in := randomGrid(n, n, 5)
+	wantF, wantI := in.Clone(), in.Clone()
+	Forward2DCols(wantF, 6)
+	Inverse2DRows(wantI, 6)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 10; iter++ {
+				f, i := in.Clone(), in.Clone()
+				Forward2DCols(f, 6)
+				Inverse2DRows(i, 6)
+				for k := range f.Data {
+					if !sameBits(f.Data[k], wantF.Data[k]) || !sameBits(i.Data[k], wantI.Data[k]) {
+						errs <- "concurrent 2-D transform diverged"
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
+	}
 }

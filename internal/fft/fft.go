@@ -8,6 +8,11 @@
 // Transforms use the engineering convention: Forward applies
 // X[k] = Σ x[n]·exp(-2πi·kn/N) with no scaling, Inverse applies the
 // conjugate kernel scaled by 1/N, so Inverse(Forward(x)) == x.
+//
+// Plans are immutable after construction apart from a pool of scratch
+// buffers, so one plan serves any number of goroutines and a transform
+// allocates nothing once the pool is warm. The package-level helpers look
+// plans up in a lock-free cache.
 package fft
 
 import (
@@ -17,19 +22,24 @@ import (
 	"sync"
 )
 
-// Plan caches the twiddle factors and scratch state for transforms of a
-// fixed length. Plans are safe for concurrent use after creation only if
-// each goroutine uses its own scratch; the package-level helpers serialize
-// through a cache, so typical callers never touch Plan directly.
+// Plan caches the twiddle factors, bit-reversal permutation and scratch
+// buffers for transforms of a fixed length. A Plan is safe for concurrent
+// use: its tables are read-only after NewPlan, every transform works on
+// caller-owned data, and scratch comes from a per-plan pool. Typical
+// callers never touch Plan directly and use the package-level helpers.
 type Plan struct {
 	n        int
 	pow2     bool
 	twiddles []complex128 // forward twiddles for radix-2, length n/2
+	swaps    []int32      // radix-2 bit-reversal as (i, j) pairs with i < j
 	// Bluestein state (nil for power-of-two sizes).
-	bluM    int          // convolution length, power of two ≥ 2n-1
 	bluW    []complex128 // chirp exp(-iπ k²/n), length n
-	bluFB   []complex128 // precomputed FFT of the chirp filter, length bluM
-	bluPlan *Plan        // radix-2 plan of length bluM
+	bluFB   []complex128 // precomputed FFT of the chirp filter, length bluPlan.n
+	bluPlan *Plan        // radix-2 plan of the convolution length, a power of two ≥ 2n-1
+	// invZero is Inverse applied to n zeros: the exact bits (signed
+	// zeros) a skipped all-zero row would have held in Inverse2DRows.
+	invZero []complex128
+	bufs    sync.Pool // *[]complex128 of length n
 }
 
 // NewPlan builds a transform plan for length n.
@@ -39,19 +49,41 @@ func NewPlan(n int) *Plan {
 	}
 	p := &Plan{n: n, pow2: n&(n-1) == 0}
 	if p.pow2 {
-		p.twiddles = make([]complex128, n/2)
-		for k := range p.twiddles {
-			ang := -2 * math.Pi * float64(k) / float64(n)
-			p.twiddles[k] = complex(math.Cos(ang), math.Sin(ang))
-		}
-		return p
+		p.initRadix2()
+	} else {
+		p.initBluestein()
 	}
-	// Bluestein setup: x[k]·w[k] convolved with conj(w) gives the DFT.
+	p.invZero = make([]complex128, n)
+	p.Inverse(p.invZero)
+	return p
+}
+
+func (p *Plan) initRadix2() {
+	n := p.n
+	p.twiddles = make([]complex128, n/2)
+	for k := range p.twiddles {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		p.twiddles[k] = complex(math.Cos(ang), math.Sin(ang))
+	}
+	if n == 1 {
+		return
+	}
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			p.swaps = append(p.swaps, int32(i), int32(j))
+		}
+	}
+}
+
+// initBluestein sets up the chirp-z state: x[k]·w[k] convolved with
+// conj(w) gives the DFT.
+func (p *Plan) initBluestein() {
+	n := p.n
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	p.bluM = m
 	p.bluPlan = NewPlan(m)
 	p.bluW = make([]complex128, n)
 	b := make([]complex128, m)
@@ -68,11 +100,23 @@ func NewPlan(n int) *Plan {
 	}
 	p.bluPlan.forward(b)
 	p.bluFB = b
-	return p
 }
 
 // Len returns the transform length of the plan.
 func (p *Plan) Len() int { return p.n }
+
+// getBuf returns a length-n scratch slice from the plan's pool. Its
+// contents are stale.
+func (p *Plan) getBuf() *[]complex128 {
+	if b, _ := p.bufs.Get().(*[]complex128); b != nil {
+		return b
+	}
+	b := make([]complex128, p.n)
+	return &b
+}
+
+// putBuf returns a scratch slice obtained from getBuf.
+func (p *Plan) putBuf(b *[]complex128) { p.bufs.Put(b) }
 
 // Forward computes the in-place forward DFT of x, which must have length
 // Len().
@@ -112,12 +156,9 @@ func (p *Plan) radix2(x []complex128) {
 	if n == 1 {
 		return
 	}
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
+	for s := 0; s < len(p.swaps); s += 2 {
+		i, j := p.swaps[s], p.swaps[s+1]
+		x[i], x[j] = x[j], x[i]
 	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
@@ -136,11 +177,13 @@ func (p *Plan) radix2(x []complex128) {
 
 // bluestein evaluates an arbitrary-length DFT as a chirp-z convolution.
 func (p *Plan) bluestein(x []complex128) {
-	n, m := p.n, p.bluM
-	a := make([]complex128, m)
+	n := p.n
+	buf := p.bluPlan.getBuf()
+	a := *buf
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * p.bluW[k]
 	}
+	clear(a[n:])
 	p.bluPlan.forward(a)
 	for i := range a {
 		a[i] *= p.bluFB[i]
@@ -149,22 +192,20 @@ func (p *Plan) bluestein(x []complex128) {
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * p.bluW[k]
 	}
+	p.bluPlan.putBuf(buf)
 }
 
-var (
-	planMu    sync.Mutex
-	planCache = map[int]*Plan{}
-)
+// planCache maps a length to its shared *Plan. Lookups take no lock; two
+// goroutines that miss at once may both build a plan, and the first one
+// stored wins.
+var planCache sync.Map
 
 func cachedPlan(n int) *Plan {
-	planMu.Lock()
-	defer planMu.Unlock()
-	if p, ok := planCache[n]; ok {
-		return p
+	if p, ok := planCache.Load(n); ok {
+		return p.(*Plan)
 	}
-	p := NewPlan(n)
-	planCache[n] = p
-	return p
+	p, _ := planCache.LoadOrStore(n, NewPlan(n))
+	return p.(*Plan)
 }
 
 // Forward computes the in-place forward DFT of x using a cached plan.

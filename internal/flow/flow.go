@@ -1006,10 +1006,11 @@ func capString(s string, n int) string {
 // into ctx.Err() for the whole run. A tile that lands on PathEmpty
 // writes its quarantine bundle here, from the worker that watched it
 // fail.
-func (env *runEnv) runTile(ctx context.Context, sims map[int]*litho.Simulator, j tileJob) tileOut {
+func (env *runEnv) runTile(ctx context.Context, sims map[int]*litho.Simulator, j tileJob) (out tileOut) {
 	start := time.Now()
 	cfg := env.cfg
-	out := tileOut{stat: TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}}
+	out = tileOut{stat: TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}}
+	// The named result lets the deferred stamp reach the returned value.
 	defer func() { out.stat.Wall = time.Since(start) }()
 	if j.skip {
 		// The occupancy scan proved this window empty at plan time; it

@@ -793,3 +793,31 @@ func TestCompactKeepsTrailingPartial(t *testing.T) {
 		t.Fatal("compaction without a checkpoint path accepted")
 	}
 }
+
+// Every occupied tile's wall time is stamped on the stat the run returns,
+// in-process and through a proc worker, and it covers the rasterization.
+func TestTileWallStamped(t *testing.T) {
+	l := bigLayout()
+	for _, cfg := range []Config{serialRef(procConfig(t)), procConfig(t)} {
+		res, err := Run(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		occupied := 0
+		for _, st := range res.TileStats {
+			if !st.Occupied {
+				continue
+			}
+			occupied++
+			if st.Proc != (cfg.ProcWorkers > 0) {
+				t.Errorf("tile %d: Proc = %v under ProcWorkers %d", st.Index, st.Proc, cfg.ProcWorkers)
+			}
+			if st.Wall <= 0 || st.Wall < st.RasterWall {
+				t.Errorf("proc=%v tile %d: Wall %v, RasterWall %v", cfg.ProcWorkers > 0, st.Index, st.Wall, st.RasterWall)
+			}
+		}
+		if occupied == 0 {
+			t.Fatalf("proc=%v: no occupied tile", cfg.ProcWorkers > 0)
+		}
+	}
+}

@@ -67,6 +67,23 @@ type Simulator struct {
 	scratch sync.Pool
 }
 
+// A kernel spectrum is zero outside the bins |bx|, |by| ≤ Half, and every
+// transform below either produces a spectrum that is read only there or
+// consumes one that is zero outside it. So forward transforms run the
+// column pass only on the band columns (fft.Forward2DCols) and inverse
+// transforms skip the all-zero rows (fft.Inverse2DRows): a 2-D transform
+// costs N + 2·Half + 1 one-dimensional transforms instead of 2N, with
+// results bit-identical to the full transforms.
+
+// maxHalf returns the widest support half-width among the first kc kernels.
+func maxHalf(set *optics.KernelSet, kc int) int {
+	h := 0
+	for _, k := range set.Kernels[:kc] {
+		h = max(h, k.Half)
+	}
+	return h
+}
+
 // getComplex returns a recycled (or fresh) N×N complex scratch grid. The
 // contents are stale; callers must overwrite or zero every element.
 func (s *Simulator) getComplex() *grid.Complex {
@@ -80,6 +97,14 @@ func (s *Simulator) getComplex() *grid.Complex {
 func (s *Simulator) putComplex(c *grid.Complex) {
 	if c != nil {
 		s.scratch.Put(c)
+	}
+}
+
+// putFields returns the coherent fields Aerial stored for an adjoint pass
+// to the pool. Entries a canceled pass never filled are nil.
+func (s *Simulator) putFields(fields []*grid.Complex) {
+	for _, f := range fields {
+		s.putComplex(f)
 	}
 }
 
@@ -134,7 +159,8 @@ func (s *Simulator) kcount(set *optics.KernelSet, optimizing bool) int {
 }
 
 // applyKernel fills dst with Ĥ_k ⊙ maskF on the kernel's support bins
-// (zero elsewhere) and inverse-transforms it into the spatial field.
+// (zero elsewhere) and inverse-transforms it into the spatial field. Only
+// maskF's support bins are read.
 func (s *Simulator) applyKernel(dst *grid.Complex, k *optics.Kernel, maskF *grid.Complex) {
 	n := s.N
 	for i := range dst.Data {
@@ -153,13 +179,16 @@ func (s *Simulator) applyKernel(dst *grid.Complex, k *optics.Kernel, maskF *grid
 			dst.Data[iy*n+ix] = c * maskF.Data[iy*n+ix]
 		}
 	}
-	fft.Inverse2D(dst)
+	fft.Inverse2DRows(dst, k.Half)
 }
 
 // Aerial computes the aerial intensity image of mask under the given
 // kernel set. When fields is non-nil it must have length ≥ the number of
 // kernels used; the per-kernel coherent fields are stored there for a
-// later adjoint pass. optimizing selects the truncated kernel count.
+// later adjoint pass. Stored fields come from the simulator's scratch pool
+// and belong to the caller, who may drop them; LossGrad hands its own back
+// to the pool after the adjoint pass. optimizing selects the truncated
+// kernel count.
 func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
 	if mask.W != s.N || mask.H != s.N {
 		panic(fmt.Sprintf("litho: mask %dx%d does not match grid %d", mask.W, mask.H, s.N))
@@ -168,15 +197,15 @@ func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet, optimizing bo
 	for i, v := range mask.Data {
 		maskF.Data[i] = complex(v, 0)
 	}
-	fft.Forward2D(maskF)
-	intensity := grid.NewReal(s.N, s.N)
 	kc := s.kcount(set, optimizing)
+	fft.Forward2DCols(maskF, maxHalf(set, kc))
+	intensity := grid.NewReal(s.N, s.N)
 	workers := s.workerCount(kc)
 
 	// Per-kernel fields are computed into private buffers (batched to
 	// bound memory) and reduced serially in kernel order so the result is
-	// identical at any worker count. Fields handed back to the caller are
-	// freshly allocated; internal buffers come from the scratch pool.
+	// identical at any worker count. All buffers, including the fields
+	// handed back to the caller, come from the scratch pool.
 	bufs := make([]*grid.Complex, workers)
 	for start := 0; start < kc; start += workers {
 		if s.canceled() {
@@ -190,7 +219,7 @@ func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet, optimizing bo
 		for ki := start; ki < end; ki++ {
 			var dst *grid.Complex
 			if fields != nil {
-				dst = grid.NewComplex(s.N, s.N)
+				dst = s.getComplex()
 				fields[ki] = dst
 			} else {
 				if bufs[ki-start] == nil {
@@ -262,11 +291,12 @@ func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optim
 		for ki := start; ki < end; ki++ {
 			tmp := bufs[ki-start]
 			ck := fields[ki]
+			half := set.Kernels[ki].Half
 			fill := func(tmp, ck *grid.Complex) {
 				for i := range tmp.Data {
 					tmp.Data[i] = complex(dLdI.Data[i], 0) * ck.Data[i]
 				}
-				fft.Forward2D(tmp)
+				fft.Forward2DCols(tmp, half)
 			}
 			if workers == 1 {
 				fill(tmp, ck)
@@ -299,7 +329,7 @@ func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optim
 			}
 		}
 	}
-	fft.Inverse2D(accF)
+	fft.Inverse2DRows(accF, maxHalf(set, kc))
 	gradM := grid.NewReal(n, n)
 	for i, v := range accF.Data {
 		gradM.Data[i] = 2 * real(v)
@@ -395,6 +425,7 @@ func (s *Simulator) LossGrad(mask, target *grid.Real, wL2, wPVB float64) *DiffRe
 		dLdINom.Data[i] = wL2 * 2 * d * ResistSteepness * zNom.Data[i] * (1 - zNom.Data[i])
 	}
 	grad := s.AerialBackward(dLdINom, s.Focus, true, fieldsF)
+	s.putFields(fieldsF)
 
 	// Defocus corner: one aerial image serves both dose corners.
 	if wPVB != 0 {
@@ -415,6 +446,7 @@ func (s *Simulator) LossGrad(mask, target *grid.Real, wL2, wPVB float64) *DiffRe
 					dmin*zMin.Data[i]*(1-zMin.Data[i])*dMin2)
 		}
 		gradDef := s.AerialBackward(dLdIDef, s.Defocus, true, fieldsD)
+		s.putFields(fieldsD)
 		grad.Add(gradDef)
 	}
 

@@ -1,6 +1,7 @@
 package litho
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,45 +146,58 @@ func TestSimulateDoseCornerNesting(t *testing.T) {
 
 // The analytic mask gradient must match central finite differences of the
 // loss. This validates the whole adjoint chain: resist sigmoid → aerial
-// backward → kernel conjugation.
+// backward → kernel conjugation. 32 px runs the radix-2 FFT, 48 px
+// Bluestein, and 192 px is the daemon's window with its optics and the
+// optimizer's kernel truncation.
 func TestLossGradMatchesFiniteDifference(t *testing.T) {
-	s := testSim(t, 32)
-	rng := rand.New(rand.NewSource(42))
-	mask := grid.NewReal(32, 32)
-	target := grid.NewReal(32, 32)
-	for y := 12; y < 20; y++ {
-		for x := 12; x < 20; x++ {
-			target.Set(x, y, 1)
-		}
-	}
-	for i := range mask.Data {
-		mask.Data[i] = 0.3 + 0.4*rng.Float64()
-	}
-
-	for _, weights := range [][2]float64{{1, 0}, {0, 1}, {1, 1}} {
-		wL2, wPVB := weights[0], weights[1]
-		res := s.LossGrad(mask, target, wL2, wPVB)
-		if res.GradM.HasNaN() {
-			t.Fatal("gradient contains NaN")
-		}
-		const eps = 1e-5
-		for _, px := range [][2]int{{13, 13}, {16, 16}, {5, 5}, {20, 12}} {
-			x, y := px[0], px[1]
-			orig := mask.At(x, y)
-			mask.Set(x, y, orig+eps)
-			lp := s.LossGrad(mask, target, wL2, wPVB).Loss
-			mask.Set(x, y, orig-eps)
-			lm := s.LossGrad(mask, target, wL2, wPVB).Loss
-			mask.Set(x, y, orig)
-			numeric := (lp - lm) / (2 * eps)
-			analytic := res.GradM.At(x, y)
-			scale := math.Max(math.Abs(numeric), math.Abs(analytic))
-			if scale < 1e-8 {
-				continue
+	for _, n := range []int{32, 48, 192} {
+		s := testSim(t, n)
+		weightSets := [][2]float64{{1, 0}, {0, 1}, {1, 1}}
+		if n == 192 {
+			s = oracleSim(t, n, 8)
+			s.KOpt = 5
+			if testing.Short() {
+				weightSets = weightSets[2:]
 			}
-			if math.Abs(numeric-analytic) > 1e-3*scale+1e-8 {
-				t.Errorf("w=(%g,%g) pixel (%d,%d): analytic %g vs numeric %g",
-					wL2, wPVB, x, y, analytic, numeric)
+		}
+		lo, hi := n*3/8, n*5/8
+		rng := rand.New(rand.NewSource(42))
+		mask := grid.NewReal(n, n)
+		target := grid.NewReal(n, n)
+		for y := lo; y < hi; y++ {
+			for x := lo; x < hi; x++ {
+				target.Set(x, y, 1)
+			}
+		}
+		for i := range mask.Data {
+			mask.Data[i] = 0.3 + 0.4*rng.Float64()
+		}
+
+		for _, weights := range weightSets {
+			wL2, wPVB := weights[0], weights[1]
+			res := s.LossGrad(mask, target, wL2, wPVB)
+			if res.GradM.HasNaN() {
+				t.Fatalf("n=%d: gradient contains NaN", n)
+			}
+			const eps = 1e-5
+			for _, px := range [][2]int{{lo + 1, lo + 1}, {n / 2, n / 2}, {5, 5}, {hi, lo}} {
+				x, y := px[0], px[1]
+				orig := mask.At(x, y)
+				mask.Set(x, y, orig+eps)
+				lp := s.LossGrad(mask, target, wL2, wPVB).Loss
+				mask.Set(x, y, orig-eps)
+				lm := s.LossGrad(mask, target, wL2, wPVB).Loss
+				mask.Set(x, y, orig)
+				numeric := (lp - lm) / (2 * eps)
+				analytic := res.GradM.At(x, y)
+				scale := math.Max(math.Abs(numeric), math.Abs(analytic))
+				if scale < 1e-8 {
+					continue
+				}
+				if math.Abs(numeric-analytic) > 1e-3*scale+1e-8 {
+					t.Errorf("n=%d w=(%g,%g) pixel (%d,%d): analytic %g vs numeric %g",
+						n, wL2, wPVB, x, y, analytic, numeric)
+				}
 			}
 		}
 	}
@@ -229,19 +243,27 @@ func TestKOptTruncation(t *testing.T) {
 	}
 }
 
-func BenchmarkLossGrad64(b *testing.B) {
-	s := testSim(b, 64)
-	s.KOpt = 4
-	mask := grid.NewReal(64, 64)
-	target := grid.NewReal(64, 64)
-	for y := 24; y < 40; y++ {
-		for x := 24; x < 40; x++ {
-			target.Set(x, y, 1)
-			mask.Set(x, y, 1)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.LossGrad(mask, target, 1, 1)
+// BenchmarkLossGrad times one optimizer loss-and-gradient evaluation at the
+// window sizes the system runs (flow 48/192 px, daemon grid 256, paper
+// grid 512) with their optics and the loop's truncated kernel set.
+func BenchmarkLossGrad(b *testing.B) {
+	for _, c := range []struct {
+		n  int
+		dx float64
+	}{{48, 8}, {192, 8}, {256, 8}, {512, 4}} {
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
+			s := oracleSim(b, c.n, c.dx)
+			s.KOpt = 5
+			mask, target := oracleMasks(c.n)
+			s.LossGrad(mask, target, 1, 1) // plans and pools outside the timed region
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = s.LossGrad(mask, target, 1, 1)
+			}
+		})
 	}
 }
+
+// benchSink keeps the compiler from discarding a benchmarked result.
+var benchSink *DiffResult

@@ -189,6 +189,12 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	armWrite := func() { rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)) }
 
 	for {
+		// Read shut before draining: the hub publishes its last event
+		// before it shuts the stream, so a drain that follows a shut
+		// observation holds every event there will ever be. Checking
+		// after the drain could end the stream with the terminal event
+		// still buffered.
+		shut := sub.isShut()
 		evs, dropped := sub.drain()
 		if len(evs) > 0 || dropped > 0 {
 			armWrite()
@@ -217,7 +223,7 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 		if terminal {
 			return
 		}
-		if sub.isShut() {
+		if shut {
 			// The hub ended the stream without a terminal event — the
 			// event journal died, or the daemon is shutting down. End the
 			// stream after the drain above; the client polls the job
@@ -293,6 +299,7 @@ func serveMask(m *Manager, w http.ResponseWriter, r *http.Request) {
 	var served, limit int64
 	done := false
 	for {
+		shut := sub.isShut() // before the drain, as in serveEvents
 		evs, _ := sub.drain()
 		for _, ev := range evs {
 			switch {
@@ -319,7 +326,7 @@ func serveMask(m *Manager, w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if done || sub.isShut() {
+		if done || shut {
 			// isShut without a terminal event means the stream died with
 			// the event journal; the rows served so far are all the rows
 			// this follower will ever be told are safe.

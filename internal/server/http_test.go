@@ -362,6 +362,114 @@ func TestHTTPMaskFollowStream(t *testing.T) {
 	httpGetBytes(t, ts.URL+"/jobs/"+st.ID+"/shots", http.StatusOK)
 }
 
+// flushHookWriter records a streamed reply and runs onFlush once, at the
+// first flush that follows a write. Inside serveEvents and serveMask that
+// flush sits between the subscriber drain and the stream-shut check.
+type flushHookWriter struct {
+	header  http.Header
+	buf     bytes.Buffer
+	pending bool
+	onFlush func()
+}
+
+func (w *flushHookWriter) Header() http.Header                { return w.header }
+func (w *flushHookWriter) WriteHeader(int)                    {}
+func (w *flushHookWriter) SetWriteDeadline(t time.Time) error { return nil }
+func (w *flushHookWriter) Write(p []byte) (int, error) {
+	w.pending = true
+	return w.buf.Write(p)
+}
+func (w *flushHookWriter) Flush() {
+	if f := w.onFlush; w.pending && f != nil {
+		w.onFlush = nil
+		f()
+	}
+}
+
+// TestSSETerminalEventSurvivesShutRace publishes a job's terminal state
+// event and closes its hub after the stream has drained but before it
+// checks for shutdown. The one stream must still end on the terminal
+// event, so the client never has to reconnect for it.
+func TestSSETerminalEventSurvivesShutRace(t *testing.T) {
+	m, ts := newTestService(t, testLayoutRoot(t), 1, 4, false) // not started: the job stays queued
+	st, resp := postJob(t, ts.URL, fastSpecJSON)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	w := &flushHookWriter{header: http.Header{}, onFlush: func() {
+		// A queued job's cancel runs finishLocked: terminal event, then
+		// hub close.
+		if _, err := m.Cancel(st.ID); err != nil {
+			t.Error(err)
+		}
+	}}
+	r := httptest.NewRequest("GET", "/jobs/"+st.ID+"/events", nil)
+	r.SetPathValue("id", st.ID)
+	serveEvents(m, w, r)
+	if w.onFlush != nil {
+		t.Fatal("the stream never flushed a write")
+	}
+	evs := readSSE(t, &w.buf)
+	for i, ev := range evs {
+		if ev.Seq != int64(i+1) {
+			t.Fatalf("event %d has seq %d", i, ev.Seq)
+		}
+	}
+	if n := len(evs); n == 0 || evs[n-1].Kind != "state" || evs[n-1].State != string(JobCanceled) {
+		t.Fatalf("stream ended on %+v, want the terminal canceled state", evs)
+	}
+}
+
+// TestMaskFollowSurvivesShutRace is the mask follower's side of the same
+// race: the job finishes (terminal event, hub close) right after the
+// follower has served a band. It must still serve the whole file.
+func TestMaskFollowSurvivesShutRace(t *testing.T) {
+	m, ts := newTestService(t, testLayoutRoot(t), 1, 4, false) // not started: the job stays queued
+	st, resp := postJob(t, ts.URL, fastSpecJSON)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	pgm := append([]byte(fmt.Sprintf("P5\n%d %d\n255\n", st.Grid, st.Grid)), bytes.Repeat([]byte{7}, st.Grid*st.Grid)...)
+	if err := os.MkdirAll(filepath.Dir(m.MaskPath(st.ID)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(m.MaskPath(st.ID), pgm, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	j := m.jobs[st.ID]
+	m.mu.Unlock()
+	w := &flushHookWriter{header: http.Header{}, onFlush: func() {
+		m.mu.Lock()
+		m.sched.cancel(st.ID)
+		m.finishLocked(j, JobDone, "", 0)
+		m.mu.Unlock()
+	}}
+	r := httptest.NewRequest("GET", "/jobs/"+st.ID+"/mask", nil)
+	r.SetPathValue("id", st.ID)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serveMask(m, w, r)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); j.hub.subscriberCount() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never subscribed")
+		}
+	}
+	if _, err := j.hub.publish(JobEvent{Kind: "band", Row: 0, Rows: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serveMask did not return")
+	}
+	if !bytes.Equal(w.buf.Bytes(), pgm) {
+		t.Fatalf("followed %d bytes, want the whole %d-byte mask", w.buf.Len(), len(pgm))
+	}
+}
+
 func waitState(t *testing.T, base, id string, want JobState) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
