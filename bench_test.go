@@ -13,6 +13,7 @@ import (
 
 	"cfaopc/internal/bench"
 	"cfaopc/internal/core"
+	"cfaopc/internal/engine"
 	"cfaopc/internal/flow"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
@@ -188,6 +189,21 @@ func BenchmarkExtensionCompaction(b *testing.B) {
 	}
 }
 
+// The flow benchmarks run CircleOpt with a 6-iteration stage 1 and 15
+// stage-2 iterations per window.
+func init() {
+	engine.Register("circleopt-init6", func(o engine.Options) engine.Optimizer {
+		return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+			coCfg := core.DefaultConfig(sim.DX)
+			coCfg.Iterations = o.Iters
+			res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 6}).Optimize(sim, target)
+			return res.Mask, res.Shots
+		}
+	})
+}
+
+var flowBenchEngines = engine.Meta("circleopt-init6", "", engine.Options{Iters: 15})
+
 // BenchmarkFlowRun measures the tiled full-chip flow at increasing
 // tile-worker counts on a 2×2-core random layout with work in every
 // quadrant. The stitched output is bit-identical at every count, so the
@@ -202,12 +218,7 @@ func BenchmarkFlowRun(b *testing.B) {
 		Optics:  optics.Default(),
 		KOpt:    4,
 		Workers: 1, // per-kernel parallelism off: isolate tile scaling
-		Optimize: func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-			coCfg := core.DefaultConfig(sim.DX)
-			coCfg.Iterations = 15
-			res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 6}).Optimize(sim, target)
-			return res.Mask, res.Shots
-		},
+		Engines: flowBenchEngines,
 	}
 	// Warm the kernel cache outside the timed loops.
 	if _, err := flow.Run(l, cfg); err != nil {
@@ -252,13 +263,8 @@ func BenchmarkFlowCached(b *testing.B) {
 			Optics:  optics.Default(),
 			KOpt:    4,
 			Workers: 1,
-			Optimize: func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-				coCfg := core.DefaultConfig(sim.DX)
-				coCfg.Iterations = 15
-				res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 6}).Optimize(sim, target)
-				return res.Mask, res.Shots
-			},
-			Cache: c,
+			Engines: flowBenchEngines,
+			Cache:   c,
 		}
 	}
 	// Warm the kernel cache (and pin the uncached shot list) outside the

@@ -77,13 +77,20 @@ func TestCLIEndToEnd(t *testing.T) {
 
 	// 5. Tiled full-chip path: halo windows optimized by concurrent tile
 	// workers; the per-window stats and stitched metrics must print.
-	out = run(cfaopc, "-layout", "layouts/case4.glp", "-grid", "128",
-		"-iters", "8", "-tile-core", "64", "-tile-halo", "16",
-		"-tile-workers", "4", "-out", "out3")
+	tiled := []string{"-layout", "layouts/case4.glp", "-grid", "128",
+		"-iters", "8", "-tile-core", "64", "-tile-halo", "16", "-checkpoint", "run.ckpt"}
+	out = run(cfaopc, append(tiled, "-tile-workers", "4", "-out", "out3")...)
 	if !strings.Contains(out, "flow: 4 windows") || !strings.Contains(out, "shots") {
 		t.Fatalf("cfaopc tiled run unexpected:\n%s", out)
 	}
 	if _, err := os.Stat(filepath.Join(work, "out3", "case4_shots.csv")); err != nil {
 		t.Fatalf("tiled shot list missing: %v", err)
+	}
+
+	// 6. Compacting that run's journal with the same flags must match its
+	// fingerprint, engine chain included.
+	out = run(cfaopc, append(tiled, "-checkpoint-compact")...)
+	if !strings.Contains(out, "compacted run.ckpt") {
+		t.Fatalf("cfaopc -checkpoint-compact unexpected:\n%s", out)
 	}
 }

@@ -63,8 +63,6 @@ import (
 	"cfaopc/internal/litho"
 	"cfaopc/internal/metrics"
 	"cfaopc/internal/optics"
-	"cfaopc/internal/procpool"
-	"cfaopc/internal/procworker"
 	"cfaopc/internal/server"
 	"cfaopc/internal/wcache"
 )
@@ -73,15 +71,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cfaopc: ")
 
-	if procpool.InWorker() {
-		// Spawned as our own tile worker (the -proc-workers default):
-		// serve frames on stdin/stdout and exit. Flags are ignored —
-		// every knob a tile needs travels inside its task.
-		if err := procworker.Serve(os.Stdin, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+	// Spawned as our own tile worker (the -proc-workers default): serve
+	// frames on stdin/stdout and exit. Flags are ignored — every knob a
+	// tile needs travels inside its task.
+	flow.ServeIfWorker()
 
 	var (
 		caseID      = flag.Int("case", 0, "synthetic benchmark case (1-10)")
@@ -243,6 +236,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The tiled flow runs, journals, caches and ships to workers the
+	// chain these names describe.
+	engines := engine.Meta(*method, *fallback, engOpts)
 
 	if *ckptCompact {
 		// Maintenance mode: rewrite the journal dropping superseded
@@ -256,7 +252,7 @@ func main() {
 		stats, err := flow.CompactCheckpoint(l, flow.Config{
 			GridN: *gridN, CorePx: *tileCore, HaloPx: *tileHalo,
 			Optics: optics.Default(), KOpt: *kOpt, TileRetries: *tileRetries,
-			RMinPx: 6 / dx, RMaxPx: 152 / dx,
+			RMinPx: 6 / dx, RMaxPx: 152 / dx, Engines: engines,
 			CheckpointPath: *ckptPath,
 		})
 		if err != nil {
@@ -291,7 +287,7 @@ func main() {
 			KOpt:          *kOpt,
 			Workers:       *workers,
 			TileWorkers:   *tileWorkers,
-			Optimize:      optimize,
+			Engines:       engines,
 			TileRetries:   *tileRetries,
 			TileTimeout:   *tileTimeout,
 			StallTimeout:  *stallTO,
@@ -362,18 +358,6 @@ func main() {
 			}
 			fCfg.MaskWriter = bandFile
 		}
-		fbName := ""
-		if *fallback != "" && !strings.EqualFold(*fallback, "none") {
-			fb, err := engine.For(*fallback, engOpts)
-			if err != nil {
-				log.Fatalf("-fallback: %v", err)
-			}
-			fCfg.Fallback = fb
-			fbName = *fallback
-		}
-		// Engine metadata rides into quarantine bundles so replaytile can
-		// rebuild this exact optimizer chain offline.
-		fCfg.Engines = engine.Meta(*method, fbName, engOpts)
 		res, err := flow.RunContext(ctx, l, fCfg)
 		if errors.Is(err, flow.ErrDrained) {
 			// Graceful shutdown: everything that finished is journaled;

@@ -25,8 +25,8 @@ import (
 	"time"
 
 	"cfaopc/internal/bench"
+	"cfaopc/internal/flow"
 	"cfaopc/internal/procpool"
-	"cfaopc/internal/procworker"
 )
 
 // hostEnv carries the listen address into a re-exec'd TCP host for the
@@ -43,7 +43,7 @@ func main() {
 		if addr := os.Getenv(hostEnv); addr != "" {
 			runHost(addr)
 		}
-		procworker.ServeIfWorker()
+		flow.ServeIfWorker()
 	}
 
 	var (
@@ -237,7 +237,7 @@ func runHost(addr string) {
 		log.Fatal(err)
 	}
 	fmt.Printf("LISTEN %s\n", ln.Addr())
-	if err := procworker.Listen(ln, "", 5*time.Second); err != nil {
+	if err := flow.Listen(ln, "", 5*time.Second); err != nil {
 		log.Fatal(err)
 	}
 	os.Exit(0)

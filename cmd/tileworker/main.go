@@ -18,7 +18,7 @@ import (
 	"syscall"
 	"time"
 
-	"cfaopc/internal/procworker"
+	"cfaopc/internal/flow"
 )
 
 func main() {
@@ -30,7 +30,7 @@ func main() {
 	flag.Parse()
 
 	if *listen == "" {
-		if err := procworker.Serve(os.Stdin, os.Stdout); err != nil {
+		if err := flow.Serve(os.Stdin, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -50,7 +50,7 @@ func main() {
 		log.Printf("shutting down")
 		ln.Close()
 	}()
-	if err := procworker.Listen(ln, *fingerprint, *handshake); err != nil {
+	if err := flow.Listen(ln, *fingerprint, *handshake); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cfaopc/internal/core"
+	"cfaopc/internal/engine"
 	"cfaopc/internal/flow"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
@@ -20,6 +21,19 @@ import (
 	"cfaopc/internal/metrics"
 	"cfaopc/internal/optics"
 )
+
+// The flow names its optimizer; a variant of a stock engine is one
+// registration away. This one is CircleOpt with a 10-iteration stage 1.
+func init() {
+	engine.Register("circleopt-init10", func(o engine.Options) engine.Optimizer {
+		return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+			coCfg := core.DefaultConfig(sim.DX)
+			coCfg.Iterations = o.Iters
+			res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 10}).Optimize(sim, target)
+			return res.Mask, res.Shots
+		}
+	})
+}
 
 func main() {
 	// A 2048 nm "chip" holding four feature groups, one per quadrant.
@@ -47,12 +61,7 @@ func main() {
 		KOpt:        4,
 		TileWorkers: -1,   // one window per core; shots identical at any count
 		KeepMask:    true, // the full-chip scoring below needs the dense mask
-		Optimize: func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-			coCfg := core.DefaultConfig(sim.DX)
-			coCfg.Iterations = 30
-			res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 10}).Optimize(sim, target)
-			return res.Mask, res.Shots
-		},
+		Engines:     engine.Meta("circleopt-init10", "", engine.Options{Iters: 30}),
 	}
 	res, err := flow.Run(l, cfg)
 	if err != nil {

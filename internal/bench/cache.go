@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"cfaopc/internal/core"
 	"cfaopc/internal/flow"
-	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
@@ -46,12 +43,6 @@ func DefaultCacheOptions(gridN int) CacheOptions {
 // cache over the same directory, the cross-process persistence story.
 func (r *Runner) CacheTable(o CacheOptions) (*Table, error) {
 	l := layout.GenerateArray(o.Rows, o.Cols, layout.ArrayConfig{})
-	opt := func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		cfg := core.DefaultConfig(sim.DX)
-		cfg.Iterations = o.Iters
-		res := (&core.CircleOpt{Cfg: cfg, InitIterations: o.InitIters}).Optimize(sim, target)
-		return res.Mask, res.Shots
-	}
 	t := &Table{
 		Title: fmt.Sprintf("Window dedup cache: %s, grid %d, core %d, halo %d",
 			l.Name, r.Opt.GridN, o.CorePx, o.HaloPx),
@@ -75,7 +66,7 @@ func (r *Runner) CacheTable(o CacheOptions) (*Table, error) {
 			KOpt:        r.Opt.KOpt,
 			Workers:     1,
 			TileWorkers: 1,
-			Optimize:    opt,
+			Engines:     exhibitEngines(o.InitIters, o.Iters, ""),
 			Cache:       c,
 		}
 		start := time.Now()

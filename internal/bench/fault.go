@@ -8,13 +8,8 @@ import (
 	"path/filepath"
 	"time"
 
-	"cfaopc/internal/core"
 	"cfaopc/internal/flow"
-	"cfaopc/internal/fracture"
-	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
-	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
 )
 
@@ -50,16 +45,6 @@ func DefaultFaultOptions(gridN int) FaultOptions {
 // the faulted reference — the resumed run must match it byte for byte.
 func (r *Runner) FaultTable(o FaultOptions) (*Table, error) {
 	l := layout.GenerateRandom(o.Seed, layout.RandomConfig{Features: o.Features})
-	opt := func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		cfg := core.DefaultConfig(sim.DX)
-		cfg.Iterations = o.Iters
-		res := (&core.CircleOpt{Cfg: cfg, InitIterations: o.InitIters}).Optimize(sim, target)
-		return res.Mask, res.Shots
-	}
-	rule := func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		shots := fracture.CircleRule(target, fracture.DefaultCircleRuleConfig(sim.DX))
-		return geom.RasterizeCircles(target.W, target.H, shots), shots
-	}
 	plan := flow.FaultPlan{
 		0: {{Panic: true}},            // recovers on retry
 		3: {{NaN: true}, {NaN: true}}, // exhausts retries, degrades to the rule engine
@@ -74,11 +59,10 @@ func (r *Runner) FaultTable(o FaultOptions) (*Table, error) {
 			Workers:     1,
 			TileWorkers: 1, // serial keeps the interruption point deterministic
 			TileRetries: o.Retries,
-			Fallback:    rule,
-			Optimize:    opt,
+			Engines:     exhibitEngines(o.InitIters, o.Iters, "circlerule"),
 		}
 		if faulted {
-			cfg.Optimize = flow.InjectFaults(opt, plan)
+			cfg.Faults = plan
 		}
 		return cfg
 	}
@@ -126,19 +110,17 @@ func (r *Runner) FaultTable(o FaultOptions) (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 	ckpt := filepath.Join(dir, "run.ckpt")
-	lastTile := res.Tiles - 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := mkCfg(true)
 	cfg.CheckpointPath = ckpt
-	faultedOpt := cfg.Optimize
-	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		if info, ok := flow.TileInfoFrom(sim.Ctx); ok && info.Index == lastTile {
+	// Interrupt the serial run as tile 1 reports completion: tile 0 is
+	// already journaled, and everything from tile 1 on recomputes on
+	// resume.
+	cfg.Events = func(ev flow.Event) {
+		if ev.Kind == flow.EventTile && ev.Tile >= 1 {
 			cancel()
-			<-sim.Ctx.Done()
-			return grid.NewReal(target.W, target.H), nil
 		}
-		return faultedOpt(sim, target)
 	}
 	start = time.Now()
 	if _, err := flow.RunContext(ctx, l, cfg); !errors.Is(err, context.Canceled) {

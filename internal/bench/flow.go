@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"cfaopc/internal/core"
 	"cfaopc/internal/flow"
 	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
@@ -44,12 +42,6 @@ func DefaultFlowOptions(gridN int) FlowOptions {
 // contract made observable.
 func (r *Runner) FlowTable(o FlowOptions) (*Table, error) {
 	l := layout.GenerateRandom(o.Seed, layout.RandomConfig{Features: o.Features})
-	opt := func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		cfg := core.DefaultConfig(sim.DX)
-		cfg.Iterations = o.Iters
-		res := (&core.CircleOpt{Cfg: cfg, InitIterations: o.InitIters}).Optimize(sim, target)
-		return res.Mask, res.Shots
-	}
 	t := &Table{
 		Title:  fmt.Sprintf("Tiled flow: %s, grid %d, core %d, halo %d", l.Name, r.Opt.GridN, o.CorePx, o.HaloPx),
 		Header: []string{"tile-workers", "mask", "tiles", "occupied", "shots", "wall", "speedup", "peak-mem", "identical"},
@@ -90,7 +82,7 @@ func (r *Runner) FlowTable(o FlowOptions) (*Table, error) {
 			// tile-level scaling.
 			Workers:     1,
 			TileWorkers: v.tw,
-			Optimize:    opt,
+			Engines:     exhibitEngines(o.InitIters, o.Iters, ""),
 			KeepMask:    v.keepMask,
 		}
 		start := time.Now()

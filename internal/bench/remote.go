@@ -50,15 +50,11 @@ func DefaultRemoteOptions(gridN int) RemoteOptions {
 // time, the overhead each transport pays over the in-process baseline,
 // and whether the stitched shot list stayed byte-identical — the
 // determinism contract of the distributed flow made observable. All
-// variants share one engine-registry optimizer chain, so the workers
-// rebuild exactly what the in-process run executes.
+// variants name one registered engine chain, so the workers resolve
+// exactly what the in-process run executes.
 func (r *Runner) RemoteTable(o RemoteOptions) (*Table, error) {
 	l := layout.GenerateRandom(o.Seed, layout.RandomConfig{Features: o.Features})
 	opts := engine.Options{Iters: o.Iters, Gamma: 3, SampleNM: 32}
-	optimize, err := engine.For("circleopt", opts)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title: fmt.Sprintf("Distributed tile workers: %s, grid %d, core %d, halo %d, pool %d",
 			l.Name, r.Opt.GridN, o.CorePx, o.HaloPx, o.Pool),
@@ -83,7 +79,6 @@ func (r *Runner) RemoteTable(o RemoteOptions) (*Table, error) {
 			KOpt:        r.Opt.KOpt,
 			Workers:     1,
 			TileWorkers: 1,
-			Optimize:    optimize,
 			Engines:     engine.Meta("circleopt", "", opts),
 		}
 	}

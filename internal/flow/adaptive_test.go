@@ -200,7 +200,6 @@ func TestAdaptiveRunDeterminismAndStreaming(t *testing.T) {
 
 	procColl := NewMaskCollector(testConfig().GridN)
 	procCfg := mk(procColl)
-	procCfg.Fallback = ruleFallback()
 	procCfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 	procCfg.ProcWorkers = 4
 	procCfg.WorkerCmd = testWorkerCmd(t)

@@ -5,6 +5,7 @@ import (
 
 	"cfaopc/internal/layout"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/quarantine"
 )
 
 // benchFlowConfig sizes a 1024² chip in 8×8 tiles of 128-px cores with a
@@ -17,7 +18,7 @@ func benchFlowConfig(l *layout.Layout, gridN int, keepMask bool) Config {
 		HaloPx:   32,
 		Optics:   optics.Default(),
 		KOpt:     2,
-		Optimize: fixedRuleOptimizer(float64(l.TileNM) / float64(gridN)),
+		Engines:  quarantine.EngineMeta{Primary: "rule"},
 		KeepMask: keepMask,
 	}
 }

@@ -19,7 +19,7 @@ import (
 // directions: serving one from a twin would skip its scripted failure,
 // and storing one would leak a fault-shaped result to clean twins.
 func (env *runEnv) cacheEligible(j tileJob) bool {
-	return env.cfg.Cache != nil && !j.skip && len(env.rawFaults[j.index]) == 0
+	return env.cfg.Cache != nil && !j.skip && len(env.cfg.Faults[j.index]) == 0
 }
 
 // windowKey builds tile j's canonical cache key over the rasterized

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
+	"cfaopc/internal/engine"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
@@ -33,7 +35,7 @@ func cacheConfig() Config {
 	cfg := testConfig()
 	cfg.CorePx = 32
 	cfg.HaloPx = 8
-	cfg.Optimize = ruleFallback()
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
 	return cfg
 }
 
@@ -156,7 +158,6 @@ func TestCacheDeterminism(t *testing.T) {
 		const procs = 4
 		coll := NewMaskCollector(testConfig().GridN)
 		cfg := mk(coll)
-		cfg.Fallback = ruleFallback()
 		cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 		cfg.ProcWorkers = procs
 		cfg.WorkerCmd = testWorkerCmd(t)
@@ -244,7 +245,6 @@ func TestCacheMatrix(t *testing.T) {
 				mk := func() Config {
 					cfg := cacheConfig()
 					if pw > 0 {
-						cfg.Fallback = ruleFallback()
 						cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 						cfg.ProcWorkers = pw
 						cfg.WorkerCmd = testWorkerCmd(t)
@@ -289,6 +289,51 @@ func TestCacheMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCacheKeyedOnEngines: two runs whose engine chains differ (here
+// only in a knob) never serve each other's windows, even sharing one
+// disk-cache directory — the chain a run names is the chain its key
+// covers — while a rerun of the same chain is served from disk.
+func TestCacheKeyedOnEngines(t *testing.T) {
+	l := arrayLayout()
+	dir := filepath.Join(t.TempDir(), "wcache")
+	run := func(engines quarantine.EngineMeta, c *wcache.Cache) *Result {
+		t.Helper()
+		cfg := cacheConfig()
+		cfg.Engines = engines
+		cfg.Cache = c
+		res, err := Run(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Same engine, different knob: a denser circle sample distance.
+	sparse := quarantine.EngineMeta{Primary: "circlerule", SampleNM: 32}
+	dense := quarantine.EngineMeta{Primary: "circlerule", SampleNM: 12}
+
+	sparseRes := run(sparse, mustCache(t, wcache.Config{Dir: dir}))
+	if sparseRes.CacheMisses != 1 || sparseRes.CacheHits != arrayCells-1 {
+		t.Fatalf("cold sparse run hits=%d misses=%d", sparseRes.CacheHits, sparseRes.CacheMisses)
+	}
+
+	shared := mustCache(t, wcache.Config{Dir: dir})
+	denseRes := run(dense, shared)
+	if denseRes.CacheMisses != 1 || denseRes.TileStats[0].CacheHit || shared.Stats().DiskHits != 0 {
+		t.Fatalf("dense run over the sparse run's cache: hits=%d misses=%d disk hits=%d, want its own cold start",
+			denseRes.CacheHits, denseRes.CacheMisses, shared.Stats().DiskHits)
+	}
+	sameResult(t, denseRes, run(dense, mustCache(t, wcache.Config{})))
+	if slices.Equal(denseRes.Shots, sparseRes.Shots) {
+		t.Fatal("the two chains produced the same shots; the test cannot tell them apart")
+	}
+
+	again := mustCache(t, wcache.Config{Dir: dir})
+	if res := run(sparse, again); res.CacheMisses != 0 || again.Stats().DiskHits == 0 {
+		t.Fatalf("sparse rerun: misses=%d disk hits=%d, want served from disk", res.CacheMisses, again.Stats().DiskHits)
+	}
+	sameResult(t, run(sparse, again), sparseRes)
 }
 
 // TestCacheFaultDeterminismAndResume covers the cache × fault-envelope
@@ -348,18 +393,17 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg = mk(NewMaskCollector(testConfig().GridN))
-	cfg.Cache = mustCache(t, wcache.Config{Dir: dir})
-	cfg.CheckpointPath = ckpt
-	inner := cfg.Optimize
-	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+	ctx = withTileHook(ctx, func(sim *litho.Simulator, target *grid.Real, inner engine.Optimizer) (*grid.Real, []geom.Circle) {
 		if info, ok := TileInfoFrom(sim.Ctx); ok && info.Index == 5 {
 			cancel()
 			<-sim.Ctx.Done()
 			return grid.NewReal(target.W, target.H), nil
 		}
 		return inner(sim, target)
-	}
+	})
+	cfg = mk(NewMaskCollector(testConfig().GridN))
+	cfg.Cache = mustCache(t, wcache.Config{Dir: dir})
+	cfg.CheckpointPath = ckpt
 	if _, err := RunContext(ctx, l, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run err = %v, want context.Canceled", err)
 	}

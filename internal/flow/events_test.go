@@ -47,7 +47,7 @@ func (l *eventLog) snapshot() []Event {
 func TestEventsStream(t *testing.T) {
 	l := bigLayout()
 	cfg := testConfig()
-	cfg.Optimize = circleOptimizer(2)
+	cfg.Engines.Iters = 2
 	ref, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestEventsStream(t *testing.T) {
 func TestEventsResumedTiles(t *testing.T) {
 	l := bigLayout()
 	cfg := testConfig()
-	cfg.Optimize = circleOptimizer(2)
+	cfg.Engines.Iters = 2
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
 	if _, err := Run(l, cfg); err != nil {
 		t.Fatal(err)

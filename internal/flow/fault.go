@@ -6,25 +6,27 @@ import (
 	"math"
 	"time"
 
+	"cfaopc/internal/engine"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/opt"
 	"cfaopc/internal/procpool"
+	"cfaopc/internal/quarantine"
 )
 
 // TileInfo identifies the window an optimizer invocation is serving. The
 // flow publishes it on the simulator's context (sim.Ctx) before every
 // attempt, which is what lets wrappers — the fault-injection harness
 // below, or telemetry — key behaviour on (tile, attempt) without
-// widening the Optimizer signature.
+// widening the engine.Optimizer signature.
 type TileInfo struct {
 	Index   int // row-major window index
 	Attempt int // 0-based attempt counter; the fallback attempt is TileRetries+1
 	CX, CY  int // core origin in full-grid pixels
 	// Dispatch counts how many times the tile has been handed to a
 	// worker process (always 0 in-process). Process-fatal fault scripts
-	// (Fault.Kill) key on it so a scripted crash-loop terminates
+	// (quarantine.Fault.Kill) key on it so a scripted crash-loop terminates
 	// deterministically.
 	Dispatch int
 }
@@ -41,51 +43,18 @@ func TileInfoFrom(ctx context.Context) (TileInfo, bool) {
 	return info, ok
 }
 
-// Fault is one injected failure mode for a single optimizer attempt.
-// Fields compose: Stall and Sleep run first, then Panic, then NaN.
-type Fault struct {
-	// Sleep blocks before anything else, respecting the attempt's
-	// context so per-tile timeouts and run cancellation stay prompt.
-	Sleep time.Duration
-	// BeatEvery, when > 0, emits synthetic optimizer heartbeats at that
-	// interval while the injected Sleep runs — the signature of a tile
-	// that is slow but alive, which the stall watchdog must spare.
-	BeatEvery time.Duration
-	// Stall blocks until the attempt's context is canceled without ever
-	// emitting a heartbeat — a wedged optimizer, the failure mode the
-	// stall watchdog (Config.StallTimeout) exists to kill early.
-	Stall bool
-	// Panic aborts the attempt with a panic, exercising the isolation
-	// recover path.
-	Panic bool
-	// NaN returns a NaN-poisoned mask and shot list, exercising output
-	// validation.
-	NaN bool
-	// BadRadius returns one shot with a radius far outside any sane
-	// [RMin, RMax] bound, exercising the radius check.
-	BadRadius bool
-	// Kill, when > 0, SIGKILLs the whole process — mid-tile, no reply,
-	// no cleanup — while the tile's dispatch counter is below Kill, but
-	// only inside a tile-worker subprocess (procpool.InWorker). Kill: 1
-	// scripts one crash followed by a clean redispatch; a huge Kill
-	// scripts a crash loop that must trip the supervisor's circuit
-	// breaker. In-process runs ignore it entirely, which is what lets
-	// one fault plan drive a proc run and its serial reference to
-	// byte-identical output.
-	Kill int
-}
-
 // FaultPlan maps a tile index to its per-attempt fault scripts: attempt
 // k of tile i suffers plan[i][k]; attempts past the end of the slice run
 // clean. Keying on (tile, attempt) makes every failure → retry →
 // fallback trajectory deterministic, which is what lets the tests demand
 // byte-identical output across interrupted and uninterrupted runs.
-type FaultPlan map[int][]Fault
+type FaultPlan map[int][]quarantine.Fault
 
-// InjectFaults wraps an Optimizer with deterministic fault injection
+// injectFaults wraps an optimizer with deterministic fault injection
 // driven by the tile identity the flow publishes on sim.Ctx. Invocations
 // outside a flow (no TileInfo on the context) pass through untouched.
-func InjectFaults(opt Optimizer, plan FaultPlan) Optimizer {
+// Config.Faults is its only input (see resolveEngines).
+func injectFaults(opt engine.Optimizer, plan FaultPlan) engine.Optimizer {
 	return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
 		info, ok := TileInfoFrom(sim.Ctx)
 		if !ok {

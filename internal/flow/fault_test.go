@@ -11,22 +11,13 @@ import (
 	"time"
 
 	"cfaopc/internal/checkpoint"
-	"cfaopc/internal/fracture"
+	"cfaopc/internal/engine"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
+	"cfaopc/internal/quarantine"
 )
-
-// ruleFallback is the graceful-degradation engine used by the fault
-// tests: no optimization at all, just rule-based circle fracturing of
-// the rasterized target. Cheap, deterministic, and hard to break.
-func ruleFallback() Optimizer {
-	return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		shots := fracture.CircleRule(target, fracture.DefaultCircleRuleConfig(sim.DX))
-		return geom.RasterizeCircles(target.W, target.H, shots), shots
-	}
-}
 
 // quadLayout puts one feature in each 2×2 tile of the 1024 nm chip, so
 // every window of the default 128-core tiling is occupied.
@@ -50,9 +41,9 @@ func quadLayout() *layout.Layout {
 func faultConfig() Config {
 	cfg := testConfig()
 	if testing.Short() {
-		cfg.Optimize = ruleFallback()
+		cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
 	} else {
-		cfg.Optimize = circleOptimizer(4)
+		cfg.Engines = quarantine.EngineMeta{Primary: "circle", Iters: 4}
 	}
 	return cfg
 }
@@ -103,12 +94,12 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := faultConfig()
 	cfg.TileWorkers = 4
-	cfg.Optimize = InjectFaults(cfg.Optimize, FaultPlan{
+	cfg.Faults = FaultPlan{
 		0: {{Sleep: time.Minute}},
 		1: {{Sleep: time.Minute}},
 		2: {{Sleep: time.Minute}},
 		3: {{Sleep: time.Minute}},
-	})
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -143,9 +134,10 @@ func TestTileTimeoutRetries(t *testing.T) {
 	// deadline, keeping the test robust on slow machines.
 	cfg.TileTimeout = 500 * time.Millisecond
 	cfg.TileRetries = 1
-	cfg.Optimize = InjectFaults(ruleFallback(), FaultPlan{
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
+	cfg.Faults = FaultPlan{
 		0: {{Sleep: time.Minute}},
-	})
+	}
 	res, err := Run(bigLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,14 +164,12 @@ func TestTileTimeoutRetries(t *testing.T) {
 func TestPanicRetryNaNFallbackEmpty(t *testing.T) {
 	cfg := faultConfig()
 	cfg.TileRetries = 1
-	cfg.Fallback = InjectFaults(ruleFallback(), FaultPlan{
-		3: {{}, {}, {Panic: true}}, // fallback attempt (attempt index 2) panics too
-	})
-	cfg.Optimize = InjectFaults(cfg.Optimize, FaultPlan{
+	cfg.Engines.Fallback = "rule"
+	cfg.Faults = FaultPlan{
 		0: {{Panic: true}},
 		1: {{NaN: true}, {NaN: true}},
-		3: {{NaN: true}, {Panic: true}},
-	})
+		3: {{NaN: true}, {Panic: true}, {Panic: true}}, // the fallback attempt (index 2) panics too
+	}
 	res, err := Run(quadLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -231,9 +221,9 @@ func TestBadRadiusValidation(t *testing.T) {
 	cfg.TileRetries = 1
 	cfg.RMinPx = 1
 	cfg.RMaxPx = 40
-	cfg.Optimize = InjectFaults(cfg.Optimize, FaultPlan{
+	cfg.Faults = FaultPlan{
 		0: {{BadRadius: true}},
-	})
+	}
 	res, err := Run(bigLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +288,8 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 		cfg := faultConfig()
 		cfg.TileRetries = 1
 		cfg.TileWorkers = 1 // serial: the cancel point below is deterministic
-		cfg.Fallback = ruleFallback()
-		cfg.Optimize = InjectFaults(cfg.Optimize, plan)
+		cfg.Engines.Fallback = "rule"
+		cfg.Faults = plan
 		cfg.MaskWriter = w // every run also streams bands, resumed or not
 		return cfg
 	}
@@ -325,17 +315,16 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := mkCfg(NewMaskCollector(testConfig().GridN))
-	cfg.CheckpointPath = ckpt
-	inner := cfg.Optimize
-	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+	ctx = withTileHook(ctx, func(sim *litho.Simulator, target *grid.Real, inner engine.Optimizer) (*grid.Real, []geom.Circle) {
 		if info, ok := TileInfoFrom(sim.Ctx); ok && info.Index == 2 {
 			cancel()
 			<-sim.Ctx.Done()
 			return grid.NewReal(target.W, target.H), nil
 		}
 		return inner(sim, target)
-	}
+	})
+	cfg := mkCfg(NewMaskCollector(testConfig().GridN))
+	cfg.CheckpointPath = ckpt
 	if _, err := RunContext(ctx, l, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run err = %v, want context.Canceled", err)
 	}
@@ -350,7 +339,7 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 	}
 	f.Close()
 
-	// Resume with the plain faulted optimizer. The resumed run streams its
+	// Resume without the hook. The resumed run streams its
 	// own complete band sequence (replayed tiles feed the assembler like
 	// computed ones), byte-identical to the uninterrupted run's.
 	resColl := NewMaskCollector(testConfig().GridN)
@@ -392,12 +381,12 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 }
 
 // TestCheckpointConfigMismatch refuses to resume a journal written for a
-// different tiling.
+// different tiling or a different engine chain.
 func TestCheckpointConfigMismatch(t *testing.T) {
 	l := bigLayout()
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := faultConfig()
-	cfg.Optimize = ruleFallback() // journal binding is what's under test, keep tiles cheap
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule"} // journal binding is what's under test, keep tiles cheap
 	cfg.CheckpointPath = ckpt
 	if _, err := Run(l, cfg); err != nil {
 		t.Fatal(err)
@@ -405,5 +394,10 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	cfg.CorePx = 64 // different tiling, same journal
 	if _, err := Run(l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
 		t.Fatalf("err = %v, want ErrHeaderMismatch", err)
+	}
+	cfg.CorePx = testConfig().CorePx
+	cfg.Engines.Fallback = "rule" // same tiling, different chain
+	if _, err := Run(l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
+		t.Fatalf("engine change: err = %v, want ErrHeaderMismatch", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cfaopc/internal/quarantine"
 	"cfaopc/internal/wcache"
 )
 
@@ -62,30 +63,29 @@ func TestFaultMatrix(t *testing.T) {
 func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string) {
 	mkCfg := func() Config {
 		cfg := faultConfig()
-		cfg.Optimize = ruleFallback() // the fault paths, not the engine, are under test
-		cfg.Fallback = ruleFallback()
+		cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"} // the fault paths, not the engine, are under test
 		cfg.TileWorkers = workers
 		cfg.TileRetries = 1
-		var f Fault
+		var f quarantine.Fault
 		switch kind {
 		case "sleep":
 			// The wall deadline must comfortably fit the healthy retry
 			// attempt even under -race on a loaded box.
-			f = Fault{Sleep: time.Minute}
+			f = quarantine.Fault{Sleep: time.Minute}
 			cfg.TileTimeout = 2 * time.Second
 		case "panic":
-			f = Fault{Panic: true}
+			f = quarantine.Fault{Panic: true}
 		case "nan":
-			f = Fault{NaN: true}
+			f = quarantine.Fault{NaN: true}
 		case "badradius":
-			f = Fault{BadRadius: true}
+			f = quarantine.Fault{BadRadius: true}
 			cfg.RMinPx = 1
 			cfg.RMaxPx = 40
 		case "stall":
 			// Generous deadline: the healthy retry runs a non-beating
 			// rule engine, so its whole attempt must finish within the
 			// stall window even under -race.
-			f = Fault{Stall: true}
+			f = quarantine.Fault{Stall: true}
 			cfg.StallTimeout = time.Second
 		default:
 			t.Fatalf("unknown fault kind %q", kind)

@@ -34,7 +34,7 @@
 //   - Isolation. Each optimizer attempt runs under recover() and its
 //     output is validated (no NaNs, radii in bounds, centers inside the
 //     window). A bad tile is retried (Config.TileRetries), then degraded
-//     to Config.Fallback, then to an empty tile — never a crashed run.
+//     to the fallback engine, then to an empty tile — never a crashed run.
 //     TileStat records every attempt's outcome and failure mode.
 //   - Liveness. Engines emit per-iteration heartbeats (opt.Beat); with
 //     Config.StallTimeout set, a per-attempt watchdog kills an optimizer
@@ -57,7 +57,7 @@
 //     a self-contained repro bundle (window target, owning rects, config
 //     fingerprint, per-attempt history, injected-fault script) through
 //     internal/quarantine; cmd/replaytile replays bundles offline via
-//     ReplayWindow.
+//     RunWindow.
 package flow
 
 import (
@@ -77,6 +77,7 @@ import (
 	"time"
 
 	"cfaopc/internal/checkpoint"
+	"cfaopc/internal/engine"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/iox"
@@ -87,9 +88,6 @@ import (
 	"cfaopc/internal/quarantine"
 	"cfaopc/internal/wcache"
 )
-
-// Optimizer produces a mask and shot list for one window target.
-type Optimizer func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle)
 
 // ErrStalled marks an optimizer attempt killed by the stall watchdog:
 // no heartbeat arrived within Config.StallTimeout, so the attempt was
@@ -121,21 +119,29 @@ type Config struct {
 	// TileWorkers bounds the windows optimized concurrently. Zero or one
 	// runs serially; negative uses GOMAXPROCS. Each worker owns a private
 	// simulator and results are reduced in row-major tile order, so the
-	// output is bit-identical at any worker count (assuming Optimize is
-	// deterministic for a given simulator and target).
+	// output is bit-identical at any worker count (assuming the engines
+	// are deterministic for a given simulator and target).
 	TileWorkers int
-	// Optimize runs on each window (e.g. a core.CircleOpt wrapper). It
-	// must be safe to call concurrently on distinct simulators.
-	Optimize Optimizer
+	// Engines names the optimizer chain every window runs: registered
+	// engine names (internal/engine) plus their knobs. It is the only
+	// description of the optimizer. RunContext resolves it once through
+	// engine.FromMeta and fails before any tile runs when a name is not
+	// registered; worker subprocesses, TCP hosts and bundle replay
+	// resolve the same names through the same registry. Because it is
+	// the whole description, the cache key, the checkpoint fingerprint
+	// and the worker handshake hash exactly what runs.
+	//
+	// Engines.Primary runs first, with TileRetries retries. When it
+	// keeps failing, Engines.Fallback (if set) runs once — typically a
+	// cheaper, hardier engine such as rule-based fracturing of the
+	// rasterized target (circlerule) standing in for circleopt. If that
+	// also fails, the tile degrades to empty.
+	Engines quarantine.EngineMeta
 
 	// TileRetries is how many extra times a failed window is re-attempted
-	// with Optimize before degrading. Zero means one attempt only.
+	// with the primary engine before degrading. Zero means one attempt
+	// only.
 	TileRetries int
-	// Fallback, when non-nil, runs once after Optimize (and its retries)
-	// failed — typically a cheaper, hardier engine such as rule-based
-	// fracturing of the rasterized target (CircleRule) standing in for
-	// CircleOpt. If it also fails, the tile degrades to empty.
-	Fallback Optimizer
 	// TileTimeout bounds the wall time of a single optimizer attempt.
 	// A timed-out attempt counts as a failure (and is retried / degraded
 	// like one); zero disables the deadline.
@@ -184,17 +190,12 @@ type Config struct {
 	// burned hours of compute finishes correct-but-unresumable rather
 	// than dying because the disk filled.
 	StrictStorage bool
-	// Faults, when non-nil, wraps Optimize and Fallback with
-	// deterministic fault injection (see InjectFaults) AND records each
-	// quarantined tile's script into its bundle, so replays re-inject
-	// the same failures. Tests that wrap optimizers with InjectFaults
-	// directly still work but leave bundles without a script.
+	// Faults, when non-nil, wraps both engines with deterministic fault
+	// injection keyed on (tile, attempt) AND records each tile's script
+	// into its worker task and quarantine bundle, so workers and
+	// replays re-inject the same failures. It is the only fault
+	// injector.
 	Faults FaultPlan
-	// Engines describes how to rebuild Optimize/Fallback offline (method
-	// names + knobs). It is copied verbatim into quarantine bundles so
-	// cmd/replaytile can reconstruct the exact attempt sequence; the
-	// flow itself never interprets it.
-	Engines quarantine.EngineMeta
 
 	// KeepMask materializes Result.Mask, a dense GridN² re-rasterization
 	// of the stitched shot list. The shot list is the primary output; on
@@ -226,8 +227,8 @@ type Config struct {
 	// ProcWorkers > 0; must be safe to call concurrently). The
 	// supervisor forces procpool.WorkerEnv=1 into its environment; the
 	// child must detect that (procpool.InWorker) and serve frames on
-	// stdin/stdout — cmd/tileworker, or any binary embedding
-	// internal/procworker.
+	// stdin/stdout — cmd/tileworker, or any binary that calls
+	// ServeIfWorker first thing in main.
 	WorkerCmd func() *exec.Cmd
 	// ProcCrashLimit is how many consecutive failed dispatches break a
 	// worker slot to in-process execution. Zero means the default (3).
@@ -259,7 +260,7 @@ type Config struct {
 	// are byte-identical for any host mix, reconnect history, and
 	// interrupt+resume — including a run where zero hosts are reachable,
 	// which completes entirely on the local ladder. Mutually exclusive
-	// with ProcWorkers; requires Engines metadata like proc mode.
+	// with ProcWorkers.
 	RemoteHosts []string
 	// RemoteDial overrides the transport used to reach RemoteHosts
 	// (tests route through in-memory pipes or a chaos proxy). Nil dials
@@ -403,25 +404,33 @@ func (cfg Config) remoteHandshake() time.Duration {
 	return 5 * time.Second
 }
 
-// withInjectedFaults resolves Config.Faults into wrapped optimizers.
-// Both the primary and the fallback see the same plan; attempt indices
-// are global per tile (fallback = TileRetries+1), so one script drives
-// the whole degradation trajectory.
-func (cfg Config) withInjectedFaults() Config {
-	if cfg.Faults == nil {
-		return cfg
+// resolveEngines builds the optimizer chain cfg.Engines names — the one
+// place in the flow a name becomes code, shared by RunContext, worker
+// tasks and replay — and wraps it with cfg.Faults. Both the primary and
+// the fallback see the same plan; attempt indices are global per tile
+// (fallback = TileRetries+1), so one script drives the whole
+// degradation trajectory.
+func resolveEngines(cfg Config) (primary, fallback engine.Optimizer, err error) {
+	if cfg.Engines.Primary == "" {
+		return nil, nil, fmt.Errorf("flow: no optimizer (Config.Engines.Primary is empty)")
 	}
-	cfg.Optimize = InjectFaults(cfg.Optimize, cfg.Faults)
-	if cfg.Fallback != nil {
-		cfg.Fallback = InjectFaults(cfg.Fallback, cfg.Faults)
+	primary, fallback, err = engine.FromMeta(cfg.Engines)
+	if err != nil {
+		return nil, nil, fmt.Errorf("flow: %w", err)
 	}
-	return cfg
+	if cfg.Faults != nil {
+		primary = injectFaults(primary, cfg.Faults)
+		if fallback != nil {
+			fallback = injectFaults(fallback, cfg.Faults)
+		}
+	}
+	return primary, fallback, nil
 }
 
 // Outcome paths recorded in TileStat.Path.
 const (
-	PathPrimary  = "primary"  // Optimize succeeded (possibly after retries)
-	PathFallback = "fallback" // Optimize exhausted retries; Fallback succeeded
+	PathPrimary  = "primary"  // the primary engine succeeded (possibly after retries)
+	PathFallback = "fallback" // the primary exhausted its retries; the fallback succeeded
 	PathEmpty    = "empty"    // both failed; the tile contributes no shots
 )
 
@@ -479,17 +488,6 @@ type TileStat struct {
 	CacheKey string
 }
 
-// AttemptOutcome records one optimizer invocation for forensics: it
-// feeds TileStat.Failure, quarantine bundles, and replay comparison.
-type AttemptOutcome struct {
-	Attempt  int    // global attempt counter; the fallback is TileRetries+1
-	Engine   string // "primary" or "fallback"
-	Err      string // "" on success; capped at maxAttemptErrBytes
-	Iters    int    // heartbeats emitted during this attempt
-	LastLoss float64
-	Stalled  bool // killed by the stall watchdog
-}
-
 // Result is the stitched output.
 type Result struct {
 	// Mask is the full-grid mask re-rasterized from the shots — nil
@@ -500,8 +498,8 @@ type Result struct {
 	Tiles     int           // number of windows optimized
 	TileStats []TileStat    // per-window records in row-major order
 
-	Retried     int // tiles that needed >1 attempt but still finished on Optimize
-	Fallbacks   int // tiles that degraded to the Fallback optimizer
+	Retried     int // tiles that needed >1 attempt but still finished on the primary
+	Fallbacks   int // tiles that degraded to the fallback engine
 	Empty       int // tiles degraded to empty after every optimizer failed
 	Resumed     int // tiles replayed from the checkpoint journal
 	Stalled     int // tiles where the stall watchdog killed an attempt
@@ -647,14 +645,16 @@ type tileOut struct {
 	stat  TileStat
 }
 
-// runEnv is the per-run state shared by every tile worker: the resolved
-// config (faults injected), the layout and its span index, the open
-// journal and the partial snapshots replayed from it, plus an error
-// channel for asynchronous failures (journal appends, bundle saves).
-// ReplayWindow builds a minimal env with no layout, index or journal.
+// runEnv is the per-run state shared by every tile worker: the config
+// and the optimizer chain resolved from it (faults injected), the
+// layout and its span index, the open journal and the partial snapshots
+// replayed from it, plus an error channel for asynchronous failures
+// (journal appends, bundle saves). RunWindow builds a minimal env with
+// no layout, index or journal.
 type runEnv struct {
-	cfg       Config                         // effective config: Faults already wrapped in
-	rawFaults FaultPlan                      // the unwrapped plan, recorded into bundles
+	cfg       Config
+	primary   engine.Optimizer               // resolved from cfg.Engines, cfg.Faults wrapped in
+	fallback  engine.Optimizer               // nil when cfg.Engines names none
 	opticsFor func(window int) optics.Config // per-window-size imaging condition
 	lay       *layout.Layout
 	fp        []byte
@@ -834,10 +834,10 @@ func watchdog(tctx context.Context, cancel context.CancelCauseFunc, hb *beatStat
 // cooperative context, and the tile's identity is published on that
 // context for fault-injection harnesses. The returned outcome records
 // the attempt for stats, bundles and replay comparison.
-func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimize Optimizer,
-	target *grid.Real, j tileJob, attempt int, engine string) ([]geom.Circle, AttemptOutcome) {
+func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimize engine.Optimizer,
+	target *grid.Real, j tileJob, attempt int, rung string) ([]geom.Circle, quarantine.Attempt) {
 	cfg := env.cfg
-	out := AttemptOutcome{Attempt: attempt, Engine: engine}
+	out := quarantine.Attempt{Index: attempt, Engine: rung}
 	tctx := ctx
 	if cfg.TileTimeout > 0 {
 		var cancel context.CancelFunc
@@ -898,7 +898,7 @@ func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimi
 // runGuarded executes one optimizer call under panic recovery, checks
 // the cooperative context afterwards (a canceled attempt's output is
 // untrusted), and validates the output.
-func runGuarded(tctx context.Context, sim *litho.Simulator, optimize Optimizer,
+func runGuarded(tctx context.Context, sim *litho.Simulator, optimize engine.Optimizer,
 	target *grid.Real, cfg Config, window int) (shots []geom.Circle, err error) {
 	sim.Ctx = tctx
 	defer func() {
@@ -928,13 +928,13 @@ func runGuarded(tctx context.Context, sim *litho.Simulator, optimize Optimizer,
 // shots, the outcome path ("" when the run was canceled mid-tile) and
 // the per-attempt history.
 func (env *runEnv) attemptSequence(ctx context.Context, sim *litho.Simulator, j tileJob,
-	target *grid.Real) (shots []geom.Circle, path string, outcomes []AttemptOutcome) {
+	target *grid.Real) (shots []geom.Circle, path string, outcomes []quarantine.Attempt) {
 	cfg := env.cfg
 	for attempt := 0; attempt <= cfg.TileRetries; attempt++ {
 		if ctx.Err() != nil {
 			return nil, "", outcomes // run canceled: abandon, don't degrade
 		}
-		s, out := env.attemptTile(ctx, sim, cfg.Optimize, target, j, attempt, "primary")
+		s, out := env.attemptTile(ctx, sim, env.primary, target, j, attempt, "primary")
 		outcomes = append(outcomes, out)
 		if out.Err == "" {
 			return s, PathPrimary, outcomes
@@ -943,8 +943,8 @@ func (env *runEnv) attemptSequence(ctx context.Context, sim *litho.Simulator, j 
 			return nil, "", outcomes
 		}
 	}
-	if cfg.Fallback != nil {
-		s, out := env.attemptTile(ctx, sim, cfg.Fallback, target, j, cfg.TileRetries+1, "fallback")
+	if env.fallback != nil {
+		s, out := env.attemptTile(ctx, sim, env.fallback, target, j, cfg.TileRetries+1, "fallback")
 		outcomes = append(outcomes, out)
 		if out.Err == "" {
 			return s, PathFallback, outcomes
@@ -958,7 +958,7 @@ func (env *runEnv) attemptSequence(ctx context.Context, sim *litho.Simulator, j 
 }
 
 // applyOutcomes folds the attempt history into the tile stat.
-func applyOutcomes(st *TileStat, outcomes []AttemptOutcome) {
+func applyOutcomes(st *TileStat, outcomes []quarantine.Attempt) {
 	st.Attempts = len(outcomes)
 	for _, o := range outcomes {
 		st.Iters += o.Iters
@@ -974,7 +974,7 @@ func applyOutcomes(st *TileStat, outcomes []AttemptOutcome) {
 
 // joinFailures renders the attempt-indexed error history, capped so a
 // pathological error string can't bloat checkpoints or stats.
-func joinFailures(outcomes []AttemptOutcome) string {
+func joinFailures(outcomes []quarantine.Attempt) string {
 	var b strings.Builder
 	for _, o := range outcomes {
 		if o.Err == "" {
@@ -983,7 +983,7 @@ func joinFailures(outcomes []AttemptOutcome) string {
 		if b.Len() > 0 {
 			b.WriteString("; ")
 		}
-		fmt.Fprintf(&b, "attempt %d (%s): %s", o.Attempt, o.Engine, o.Err)
+		fmt.Fprintf(&b, "attempt %d (%s): %s", o.Index, o.Engine, o.Err)
 		if b.Len() > maxFailureBytes {
 			break
 		}
@@ -1034,9 +1034,8 @@ func (env *runEnv) runTile(ctx context.Context, sims map[int]*litho.Simulator, j
 }
 
 // ladder walks the in-process degradation sequence for one rasterized
-// window and folds the outcome into out — the shared tail of runTile,
-// a circuit-broken proc slot, and ReplayWindow-style single-window
-// runs.
+// window and folds the outcome into out — the shared tail of runTile
+// and a circuit-broken proc slot.
 func (env *runEnv) ladder(ctx context.Context, sim *litho.Simulator, j tileJob,
 	target *grid.Real, out *tileOut) {
 	cfg := env.cfg
@@ -1059,7 +1058,7 @@ func (env *runEnv) ladder(ctx context.Context, sim *litho.Simulator, j tileJob,
 // empty and then enforces the retention budget. Saves and prunes are
 // serialized under quarMu so concurrent empty tiles cannot race the
 // budget accounting.
-func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []AttemptOutcome, st *TileStat) {
+func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []quarantine.Attempt, st *TileStat) {
 	cfg := env.cfg
 	if cfg.QuarantineDir == "" {
 		return
@@ -1092,7 +1091,7 @@ func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []Attem
 
 // buildBundle assembles the self-contained repro artifact for a tile
 // that exhausted every engine.
-func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptOutcome) *quarantine.Bundle {
+func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []quarantine.Attempt) *quarantine.Bundle {
 	cfg := env.cfg
 	ox := j.cx - cfg.HaloPx
 	oy := j.cy - cfg.HaloPx
@@ -1123,18 +1122,8 @@ func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptO
 		b.TileNM = env.lay.TileNM
 		b.Rects = overlapRects(env.lay, cfg.GridN, ox, oy, j.window)
 	}
-	for _, f := range env.rawFaults[j.index] {
-		b.Faults = append(b.Faults, quarantine.Fault{
-			Sleep: f.Sleep, BeatEvery: f.BeatEvery, Stall: f.Stall,
-			Panic: f.Panic, NaN: f.NaN, BadRadius: f.BadRadius, Kill: f.Kill,
-		})
-	}
-	for _, o := range outcomes {
-		b.Attempts = append(b.Attempts, quarantine.Attempt{
-			Index: o.Attempt, Engine: o.Engine, Err: o.Err,
-			Iters: o.Iters, LastLoss: o.LastLoss, Stalled: o.Stalled,
-		})
-	}
+	b.Faults = append(b.Faults, cfg.Faults[j.index]...)
+	b.Attempts = append(b.Attempts, outcomes...)
 	return b
 }
 
@@ -1228,9 +1217,12 @@ func (env *runEnv) appendPartial(index, attempt int, s opt.Snapshot) {
 // layout geometry. It serves two masters: it is the window dedup
 // cache's key prefix (layout-free, so identical windows collide across
 // layouts and runs), and it is folded into the per-(layout, tiling)
-// checkpoint fingerprint below. It cannot cover the optimizer funcs
-// themselves (not hashable); Config.Engines is the stand-in, so set it
-// whenever a disk cache is shared across processes.
+// checkpoint fingerprint below. Config.Engines is the whole description
+// of the optimizer chain — the run executes what it names and nothing
+// else — so two runs with different engines never share a key. The
+// rendered text (including EngineMeta's %+v form) is part of the key:
+// changing it orphans every existing .wce cache entry and journal, which
+// the golden test in fingerprint_test.go guards against.
 func configFingerprint(cfg Config, dxNM float64) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "grid=%d core=%d halo=%d kopt=%d retries=%d rmin=%g rmax=%g dx=%g\n",
@@ -1245,13 +1237,13 @@ func configFingerprint(cfg Config, dxNM float64) string {
 	return fmt.Sprintf("cfaopc-cfg-v1 %016x", h.Sum64())
 }
 
-// fingerprint binds a checkpoint journal to one (layout, tiling) pair:
-// the config fingerprint above plus the layout identity and geometry.
-// Resuming with a different optimizer chain remains the caller's
-// responsibility, like any cache key. v3 added per-tile cache/adaptive
-// stats and the config-fingerprint split; v4 added remote-host
-// provenance to TileStat — each bump makes older journals fail the
-// header check instead of decoding garbage.
+// fingerprint binds a checkpoint journal to one (layout, tiling,
+// engines) triple: the config fingerprint above — which covers the
+// optimizer chain — plus the layout identity and geometry, so resuming
+// with a different chain fails the header check. v3 added per-tile
+// cache/adaptive stats and the config-fingerprint split; v4 added
+// remote-host provenance to TileStat — each bump makes older journals
+// fail the header check instead of decoding garbage.
 func fingerprint(l *layout.Layout, cfg Config) []byte {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "cfg=%s\n", configFingerprint(cfg, float64(l.TileNM)/float64(cfg.GridN)))
@@ -1280,8 +1272,6 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		return nil, fmt.Errorf("flow: invalid grid %d", cfg.GridN)
 	case cfg.CorePx <= 0 || cfg.HaloPx < 0:
 		return nil, fmt.Errorf("flow: invalid core %d / halo %d", cfg.CorePx, cfg.HaloPx)
-	case cfg.Optimize == nil:
-		return nil, fmt.Errorf("flow: no optimizer")
 	case cfg.TileRetries < 0:
 		return nil, fmt.Errorf("flow: negative retries %d", cfg.TileRetries)
 	case cfg.StallTimeout < 0 || cfg.PartialEvery < 0:
@@ -1293,12 +1283,8 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		return nil, fmt.Errorf("flow: negative proc workers %d", cfg.ProcWorkers)
 	case cfg.ProcWorkers > 0 && cfg.WorkerCmd == nil:
 		return nil, fmt.Errorf("flow: ProcWorkers set but no WorkerCmd to spawn them with")
-	case cfg.ProcWorkers > 0 && cfg.Engines.Primary == "":
-		return nil, fmt.Errorf("flow: ProcWorkers requires Engines metadata (the worker rebuilds the optimizer chain from it)")
 	case len(cfg.RemoteHosts) > 0 && cfg.ProcWorkers > 0:
 		return nil, fmt.Errorf("flow: RemoteHosts and ProcWorkers are mutually exclusive transports")
-	case len(cfg.RemoteHosts) > 0 && cfg.Engines.Primary == "":
-		return nil, fmt.Errorf("flow: RemoteHosts requires Engines metadata (the worker rebuilds the optimizer chain from it)")
 	case cfg.AdaptiveMergeMax < 0 || cfg.AdaptiveMergeMax > 1 || cfg.AdaptiveSplitMin < 0 || cfg.AdaptiveSplitMin > 1:
 		return nil, fmt.Errorf("flow: adaptive thresholds merge=%g split=%g outside [0, 1]",
 			cfg.AdaptiveMergeMax, cfg.AdaptiveSplitMin)
@@ -1306,6 +1292,13 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	window := cfg.CorePx + 2*cfg.HaloPx
 	if window > cfg.GridN {
 		return nil, fmt.Errorf("flow: window %d exceeds grid %d", window, cfg.GridN)
+	}
+	// Every transport runs the chain these names resolve to — workers
+	// resolve them again from the same registry — so an unknown name
+	// fails here, before any tile, in every mode.
+	primary, fallback, err := resolveEngines(cfg)
+	if err != nil {
+		return nil, err
 	}
 	dx := float64(l.TileNM) / float64(cfg.GridN)
 
@@ -1320,8 +1313,9 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	}
 
 	env := &runEnv{
-		cfg:       cfg.withInjectedFaults(),
-		rawFaults: cfg.Faults,
+		cfg:       cfg,
+		primary:   primary,
+		fallback:  fallback,
 		opticsFor: opticsFor,
 		lay:       l,
 		fp:        fingerprint(l, cfg),
@@ -1671,18 +1665,25 @@ type WindowHooks struct {
 
 // RunWindow runs one window's exact degradation sequence (primary →
 // retries → fallback → empty) on an explicit target raster, outside any
-// tiled run. cfg.Faults is honored, so a recorded script re-injects the
-// same deterministic failures. The returned shots are window-local (no
-// core-ownership filtering), and no checkpoint or quarantine side
-// effects are performed; the stat and outcomes mirror what a live run
-// would have recorded. It backs both offline bundle replay
-// (cmd/replaytile) and live tile-worker subprocesses (ServeTask).
+// tiled run. The chain is resolved from cfg.Engines exactly as RunContext
+// resolves it, and cfg.Faults is honored, so a recorded script
+// re-injects the same deterministic failures. The returned shots are
+// window-local (no core-ownership filtering), and no checkpoint or
+// quarantine side effects are performed; the stat and attempts mirror
+// what a live run would have recorded. It backs both offline bundle
+// replay (internal/replay) and live tile workers (ServeTask). The error
+// is non-nil only when cfg.Engines does not resolve.
 func RunWindow(ctx context.Context, sim *litho.Simulator, cfg Config, index, cx, cy int,
-	target *grid.Real, hooks WindowHooks) ([]geom.Circle, TileStat, []AttemptOutcome) {
+	target *grid.Real, hooks WindowHooks) ([]geom.Circle, TileStat, []quarantine.Attempt, error) {
 	start := time.Now()
+	primary, fallback, err := resolveEngines(cfg)
+	if err != nil {
+		return nil, TileStat{}, nil, err
+	}
 	env := &runEnv{
-		cfg:       cfg.withInjectedFaults(),
-		rawFaults: cfg.Faults,
+		cfg:       cfg,
+		primary:   primary,
+		fallback:  fallback,
 		opticsFor: func(int) optics.Config { return sim.Cfg },
 		dispatch:  hooks.Dispatch,
 	}
@@ -1709,14 +1710,7 @@ func RunWindow(ctx context.Context, sim *litho.Simulator, cfg Config, index, cx,
 		shots = nil
 	}
 	stat.Wall = time.Since(start)
-	return shots, stat, outcomes
-}
-
-// ReplayWindow is RunWindow with no hooks — the offline entry point
-// cmd/replaytile uses on quarantine bundles.
-func ReplayWindow(ctx context.Context, sim *litho.Simulator, cfg Config, index, cx, cy int,
-	target *grid.Real) ([]geom.Circle, TileStat, []AttemptOutcome) {
-	return RunWindow(ctx, sim, cfg, index, cx, cy, target, WindowHooks{})
+	return shots, stat, outcomes, nil
 }
 
 // CompactCheckpoint rewrites cfg.CheckpointPath dropping superseded

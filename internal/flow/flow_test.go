@@ -3,23 +3,13 @@ package flow
 import (
 	"testing"
 
-	"cfaopc/internal/core"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/quarantine"
 )
-
-// circleOptimizer adapts core.CircleOpt to the flow Optimizer signature.
-func circleOptimizer(iters int) Optimizer {
-	return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		cfg := core.DefaultConfig(sim.DX)
-		cfg.Iterations = iters
-		res := (&core.CircleOpt{Cfg: cfg, InitIterations: 5}).Optimize(sim, target)
-		return res.Mask, res.Shots
-	}
-}
 
 // bigLayout builds a 1024 nm layout with features in two distant corners,
 // so a 2×2 tiling puts work in separate windows.
@@ -42,7 +32,7 @@ func testConfig() Config {
 		HaloPx:   32, // 128 nm context
 		Optics:   o,
 		KOpt:     4,
-		Optimize: circleOptimizer(8),
+		Engines:  quarantine.EngineMeta{Primary: "circle", Iters: 8},
 		KeepMask: true, // most tests inspect the dense stitched mask
 	}
 }
@@ -55,9 +45,9 @@ func TestRunValidation(t *testing.T) {
 		t.Error("zero grid accepted")
 	}
 	bad = testConfig()
-	bad.Optimize = nil
+	bad.Engines = quarantine.EngineMeta{}
 	if _, err := Run(l, bad); err == nil {
-		t.Error("nil optimizer accepted")
+		t.Error("config without engines accepted")
 	}
 	bad = testConfig()
 	bad.CorePx = 300
@@ -206,7 +196,7 @@ func TestDeterministicAcrossTileWorkers(t *testing.T) {
 	if testing.Short() {
 		iters, workerCounts = 4, []int{8}
 	}
-	cfg.Optimize = circleOptimizer(iters)
+	cfg.Engines.Iters = iters
 
 	cfg.TileWorkers = 1
 	serial, err := Run(l, cfg)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cfaopc/internal/engine"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
@@ -22,8 +23,7 @@ import (
 // equally slow tile that heartbeats runs to completion.
 func TestStallWatchdogKillsWedgedSparesSlow(t *testing.T) {
 	cfg := faultConfig()
-	cfg.Optimize = ruleFallback()
-	cfg.Fallback = ruleFallback()
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 	cfg.TileRetries = 0
 	cfg.TileTimeout = 60 * time.Second // the wall deadline this test must beat
 	// 10× margin between beat period and stall deadline: under -race on
@@ -73,14 +73,14 @@ func TestStallWatchdogKillsWedgedSparesSlow(t *testing.T) {
 // up front.
 func TestStallConfigValidation(t *testing.T) {
 	cfg := testConfig()
-	cfg.Optimize = ruleFallback()
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
 	cfg.TileTimeout = time.Second
 	cfg.StallTimeout = 2 * time.Second
 	if _, err := Run(bigLayout(), cfg); err == nil || !strings.Contains(err.Error(), "stall timeout") {
 		t.Fatalf("err = %v, want stall-vs-tile timeout rejection", err)
 	}
 	cfg = testConfig()
-	cfg.Optimize = ruleFallback()
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
 	cfg.PartialEvery = -1
 	if _, err := Run(bigLayout(), cfg); err == nil {
 		t.Fatal("negative PartialEvery accepted")
@@ -89,10 +89,10 @@ func TestStallConfigValidation(t *testing.T) {
 
 // TestJoinFailures pins the attempt-indexed failure format and its cap.
 func TestJoinFailures(t *testing.T) {
-	got := joinFailures([]AttemptOutcome{
-		{Attempt: 0, Engine: "primary", Err: "panic: boom"},
-		{Attempt: 1, Engine: "primary", Err: ""},
-		{Attempt: 2, Engine: "fallback", Err: "invalid output: mask has NaN/Inf pixels"},
+	got := joinFailures([]quarantine.Attempt{
+		{Index: 0, Engine: "primary", Err: "panic: boom"},
+		{Index: 1, Engine: "primary", Err: ""},
+		{Index: 2, Engine: "fallback", Err: "invalid output: mask has NaN/Inf pixels"},
 	})
 	want := "attempt 0 (primary): panic: boom; attempt 2 (fallback): invalid output: mask has NaN/Inf pixels"
 	if got != want {
@@ -101,9 +101,9 @@ func TestJoinFailures(t *testing.T) {
 	if joinFailures(nil) != "" {
 		t.Fatal("no failures should join to empty")
 	}
-	long := make([]AttemptOutcome, 64)
+	long := make([]quarantine.Attempt, 64)
 	for i := range long {
-		long[i] = AttemptOutcome{Attempt: i, Engine: "primary", Err: strings.Repeat("x", 100)}
+		long[i] = quarantine.Attempt{Index: i, Engine: "primary", Err: strings.Repeat("x", 100)}
 	}
 	capped := joinFailures(long)
 	if len(capped) > maxFailureBytes+64 || !strings.HasSuffix(capped, "…[truncated]") {
@@ -113,14 +113,12 @@ func TestJoinFailures(t *testing.T) {
 
 // TestQuarantineBundleRoundTrip is the forensics acceptance test: a tile
 // that exhausts every engine writes a self-contained bundle, and
-// ReplayWindow on nothing but that bundle reproduces the recorded
-// attempt sequence exactly.
+// RunWindow on nothing but that bundle reproduces the recorded attempt
+// sequence exactly.
 func TestQuarantineBundleRoundTrip(t *testing.T) {
 	qdir := filepath.Join(t.TempDir(), "quarantine")
 	l := quadLayout()
 	cfg := faultConfig()
-	cfg.Optimize = ruleFallback()
-	cfg.Fallback = ruleFallback()
 	cfg.TileRetries = 1
 	cfg.QuarantineDir = qdir
 	cfg.Engines = quarantine.EngineMeta{Primary: "circlerule", Fallback: "circlerule", Iters: 8, Gamma: 3, SampleNM: 32}
@@ -186,19 +184,12 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.KOpt = b.KOpt
-	rcfg := Config{
-		GridN: b.GridN, CorePx: b.CorePx, HaloPx: b.HaloPx, KOpt: b.KOpt,
-		Optimize: ruleFallback(), Fallback: ruleFallback(),
-		TileRetries: b.TileRetries, TileTimeout: b.TileTimeout, StallTimeout: b.StallTimeout,
-		RMinPx: b.RMinPx, RMaxPx: b.RMaxPx,
-	}
-	script := make([]Fault, len(b.Faults))
-	for i, f := range b.Faults {
-		script[i] = Fault{Sleep: f.Sleep, BeatEvery: f.BeatEvery, Stall: f.Stall, Panic: f.Panic, NaN: f.NaN, BadRadius: f.BadRadius}
-	}
-	rcfg.Faults = FaultPlan{b.Tile.Index: script}
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: append([]float64(nil), b.Target...)}
-	_, rstat, routcomes := ReplayWindow(context.Background(), sim, rcfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target)
+	_, rstat, routcomes, err := RunWindow(context.Background(), sim, BundleConfig(b, 0),
+		b.Tile.Index, b.Tile.CX, b.Tile.CY, target, WindowHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rstat.Path != PathEmpty || len(routcomes) != len(b.Attempts) {
 		t.Fatalf("replay stat: %+v (%d outcomes)", rstat, len(routcomes))
 	}
@@ -224,8 +215,7 @@ func TestQuarantineWriteFailureDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := faultConfig()
-		cfg.Optimize = ruleFallback()
-		cfg.Fallback = nil
+		cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
 		cfg.TileRetries = 0
 		cfg.QuarantineDir = filepath.Join(blocker, "sub") // MkdirAll must fail
 		cfg.Faults = FaultPlan{0: {{Panic: true}}}
@@ -282,10 +272,7 @@ func TestPartialResumeAndCompaction(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := mkCfg()
-	cfg.CheckpointPath = ckpt
-	inner := cfg.Optimize
-	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+	ctx = withTileHook(ctx, func(sim *litho.Simulator, target *grid.Real, inner engine.Optimizer) (*grid.Real, []geom.Circle) {
 		if info, ok := TileInfoFrom(sim.Ctx); ok && info.Index == 3 {
 			beats := 0
 			fwd := opt.ProgressFrom(sim.Ctx)
@@ -300,7 +287,9 @@ func TestPartialResumeAndCompaction(t *testing.T) {
 			})
 		}
 		return inner(sim, target)
-	}
+	})
+	cfg := mkCfg()
+	cfg.CheckpointPath = ckpt
 	if _, err := RunContext(ctx, l, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run err = %v, want context.Canceled", err)
 	}

@@ -22,7 +22,7 @@ import (
 )
 
 // netListenEnv carries the listen address into a re-exec'd TCP host.
-// The worker env var is set alongside it, so flow.Fault.Kill scripts
+// The worker env var is set alongside it, so quarantine.Fault.Kill scripts
 // (which key on procpool.InWorker) can SIGKILL a whole host mid-tile.
 const netListenEnv = "CFAOPC_TEST_NET_HOST"
 
@@ -36,8 +36,7 @@ func runNetHost(addr string) {
 		os.Exit(1)
 	}
 	fmt.Printf("LISTEN %s\n", ln.Addr())
-	srv := &netpool.Server{Runner: testRunner}
-	if err := srv.Serve(ln); err != nil {
+	if err := Listen(ln, "", 0); err != nil {
 		os.Exit(1)
 	}
 	os.Exit(0)
@@ -163,12 +162,62 @@ func deadAddr(t *testing.T) string {
 func netConfig(t *testing.T, hosts ...string) Config {
 	t.Helper()
 	cfg := testConfig()
-	cfg.Optimize = ruleFallback()
-	cfg.Fallback = ruleFallback()
 	cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 	cfg.RemoteHosts = hosts
 	cfg.RemoteBackoff = 10 * time.Millisecond
 	return cfg
+}
+
+// TestListenInProcess serves a TCP host from inside the test process
+// (Listen), so the worker side — engine resolution from the task's
+// names included — runs under the same coverage and race
+// instrumentation as the coordinator, which the re-exec'd hosts
+// escape. Every occupied tile comes from the host, byte-identical to
+// the serial reference.
+func TestListenInProcess(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- Listen(ln, "", 0) }()
+	l := bigLayout()
+	cfg := netConfig(t, ln.Addr().String())
+	res, err := Run(l, cfg)
+	ln.Close()
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range res.TileStats {
+		if st.Occupied && st.Host != ln.Addr().String() {
+			t.Fatalf("tile %d not served by the in-process host: %+v", st.Index, st)
+		}
+	}
+	ref, err := Run(l, serialRef(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, res, ref)
+}
+
+// TestRemoteKnobDefaults pins the remote-transport tuning defaults and
+// their overrides, including the terminal-breaker sentinel.
+func TestRemoteKnobDefaults(t *testing.T) {
+	var zero Config
+	if zero.remoteSilence() != 10*time.Second || zero.remoteBackoff() != 50*time.Millisecond ||
+		zero.remoteCrashLimit() != 3 || zero.remoteCooldown() != 5*time.Second || zero.remoteHandshake() != 5*time.Second {
+		t.Error("remote defaults changed")
+	}
+	set := Config{RemoteSilence: time.Second, RemoteBackoff: time.Millisecond, RemoteCrashLimit: 7,
+		RemoteCooldown: time.Minute, RemoteHandshake: time.Hour}
+	if set.remoteSilence() != time.Second || set.remoteBackoff() != time.Millisecond ||
+		set.remoteCrashLimit() != 7 || set.remoteCooldown() != time.Minute || set.remoteHandshake() != time.Hour {
+		t.Error("remote overrides not honored")
+	}
+	if (Config{RemoteCooldown: -1}).remoteCooldown() != 0 {
+		t.Error("negative cooldown is not a terminal breaker")
+	}
 }
 
 func TestNetValidation(t *testing.T) {
@@ -249,7 +298,7 @@ func TestNetAcceptance(t *testing.T) {
 	// while the first wave is in flight (tile 4 never dispatches), the
 	// journal holds what finished, and the resumed run replays to
 	// byte-identical output.
-	slow := Fault{Sleep: 200 * time.Millisecond}
+	slow := quarantine.Fault{Sleep: 200 * time.Millisecond}
 	plan2 := FaultPlan{0: {slow}, 1: {slow}, 2: {slow}, 3: {slow}}
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	mk2 := func(w MaskWriter) Config {
@@ -401,8 +450,6 @@ func TestNetPartialRedispatch(t *testing.T) {
 
 	mkCfg := func(hosts ...string) Config {
 		cfg := netConfig(t, hosts...)
-		cfg.Optimize = circleOptimizer(8)
-		cfg.Fallback = nil
 		cfg.Engines = quarantine.EngineMeta{Primary: "circle", Iters: 8}
 		cfg.PartialEvery = 2
 		cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")

@@ -21,59 +21,17 @@ import (
 
 // TestMain doubles as the tile-worker binary: when the supervisor
 // re-executes this test executable with the worker env set, it serves
-// tasks instead of running tests. The runner resolves the test-only
-// engine names the proc tests put into Engines metadata.
+// tasks instead of running tests, resolving the test engines registered
+// in engines_test.go exactly as the coordinating test process does.
 func TestMain(m *testing.M) {
 	if procpool.InWorker() {
 		if addr := os.Getenv(netListenEnv); addr != "" {
 			// Spawned as a loopback TCP host for the net tests.
 			runNetHost(addr)
 		}
-		if err := procpool.Serve(os.Stdin, os.Stdout, testRunner()); err != nil {
-			os.Exit(1)
-		}
-		os.Exit(0)
+		ServeIfWorker()
 	}
 	os.Exit(m.Run())
-}
-
-// testRunner is the worker-side task executor the re-exec branches
-// serve (pipe and TCP alike): the proc tests' miniature of the engine
-// registry, with a per-session simulator cache.
-func testRunner() procpool.Runner {
-	var cache SimCache
-	return func(ctx context.Context, task *procpool.Task, sink procpool.Sink) procpool.Reply {
-		b := &task.Bundle
-		reply := procpool.Reply{Index: b.Tile.Index}
-		primary, ok := testEngine(b.Engines.Primary, b.Engines.Iters)
-		if !ok {
-			reply.Err = "unknown test engine " + b.Engines.Primary
-			return reply
-		}
-		fallback, _ := testEngine(b.Engines.Fallback, b.Engines.Iters)
-		sim, err := cache.For(task)
-		if err != nil {
-			reply.Err = err.Error()
-			return reply
-		}
-		return ServeTask(ctx, sim, task, primary, fallback, sink)
-	}
-}
-
-// testEngine maps the engine names the proc tests use ("rule",
-// "circle") onto the package's test optimizers — a miniature of the
-// registry lookup cmd binaries do via internal/engine.
-func testEngine(name string, iters int) (Optimizer, bool) {
-	switch name {
-	case "rule":
-		return ruleFallback(), true
-	case "circle":
-		if iters <= 0 {
-			iters = 8
-		}
-		return circleOptimizer(iters), true
-	}
-	return nil, false
 }
 
 // testWorkerCmd re-executes this test binary as the worker subprocess.
@@ -95,8 +53,6 @@ func testWorkerCmd(t *testing.T) func() *exec.Cmd {
 // test time.
 func procConfig(t *testing.T) Config {
 	cfg := testConfig()
-	cfg.Optimize = ruleFallback()
-	cfg.Fallback = ruleFallback()
 	cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 	cfg.ProcWorkers = 1
 	cfg.WorkerCmd = testWorkerCmd(t)
@@ -272,12 +228,13 @@ func TestCrashMatrix(t *testing.T) {
 
 // TestWorkerSoftErrorBreaksToFallback covers the non-crash failure
 // lane: a worker that stays alive but reports a deterministic task
-// error (here: engine metadata it cannot resolve) counts toward the
-// breaker exactly like a crash, and the tile completes in-process.
+// error (here: an engine name its binary does not register) counts
+// toward the breaker exactly like a crash, and the tile completes
+// in-process on the coordinator, which does register it.
 func TestWorkerSoftErrorBreaksToFallback(t *testing.T) {
 	l := bigLayout() // two occupied tiles of four
 	cfg := procConfig(t)
-	cfg.Engines.Primary = "bogus" // the worker-side registry rejects it
+	cfg.Engines.Primary = "coordinator-only" // the worker-side registry rejects it
 	cfg.ProcCrashLimit = 2
 	res, err := Run(l, cfg)
 	if err != nil {
@@ -364,7 +321,7 @@ func testDrain(t *testing.T, proc bool) {
 	l := quadLayout()
 	// Tile 0 is slow enough that the drain fires while it is in flight;
 	// in proc mode it additionally loses its first worker mid-tile.
-	script := Fault{Sleep: 500 * time.Millisecond}
+	script := quarantine.Fault{Sleep: 500 * time.Millisecond}
 	if proc {
 		script.Kill = 1
 	}
@@ -497,7 +454,7 @@ func TestServeTaskHooks(t *testing.T) {
 	}
 
 	sink := &recSink{}
-	reply := ServeTask(context.Background(), sim, mkTask(), circleOptimizer(8), nil, sink)
+	reply := ServeTask(context.Background(), sim, mkTask(), sink)
 	if reply.Err != "" {
 		t.Fatalf("reply error: %s", reply.Err)
 	}
@@ -516,7 +473,7 @@ func TestServeTaskHooks(t *testing.T) {
 	resume := sink.partials[0]
 	task := mkTask()
 	task.Resume = &resume
-	reply2 := ServeTask(context.Background(), sim, task, circleOptimizer(8), nil, &recSink{})
+	reply2 := ServeTask(context.Background(), sim, task, &recSink{})
 	if reply2.Err != "" {
 		t.Fatalf("resumed reply error: %s", reply2.Err)
 	}
@@ -533,8 +490,14 @@ func TestServeTaskHooks(t *testing.T) {
 	// A task-grade bundle failing validation is a soft error, not a panic.
 	bad := mkTask()
 	bad.Bundle.Target = nil
-	if r := ServeTask(context.Background(), sim, bad, circleOptimizer(8), nil, nil); r.Err == "" {
+	if r := ServeTask(context.Background(), sim, bad, nil); r.Err == "" {
 		t.Fatal("invalid task accepted")
+	}
+	// So is a task naming an engine this process does not register.
+	bad = mkTask()
+	bad.Bundle.Engines.Primary = "no-such-engine"
+	if r := ServeTask(context.Background(), sim, bad, nil); !strings.Contains(r.Err, "no-such-engine") {
+		t.Fatalf("unknown engine reply error = %q", r.Err)
 	}
 }
 
@@ -551,8 +514,6 @@ func TestProcPartialResume(t *testing.T) {
 	l := bigLayout()
 	mkCfg := func() Config {
 		cfg := procConfig(t)
-		cfg.Optimize = circleOptimizer(8)
-		cfg.Fallback = nil
 		cfg.Engines = quarantine.EngineMeta{Primary: "circle", Iters: 8}
 		cfg.PartialEvery = 2
 		return cfg
@@ -590,7 +551,7 @@ func TestProcPartialResume(t *testing.T) {
 			Target: append([]float64(nil), target.Data...),
 		},
 		PartialEvery: 2,
-	}, circleOptimizer(8), nil, sink)
+	}, sink)
 	if reply.Err != "" || len(sink.partials) == 0 {
 		t.Fatalf("snapshot capture failed: err %q, %d partials", reply.Err, len(sink.partials))
 	}
@@ -667,6 +628,27 @@ func TestProcPartialResume(t *testing.T) {
 	}
 }
 
+// TestRunnerSoftErrors: the worker-session executor turns an invalid
+// bundle and an unbuildable window simulator into task errors, never a
+// panic or a dead worker.
+func TestRunnerSoftErrors(t *testing.T) {
+	run := runner()
+	if r := run(context.Background(), &procpool.Task{}, nil); r.Err == "" {
+		t.Fatal("invalid bundle accepted")
+	}
+	bad := &procpool.Task{Bundle: quarantine.Bundle{
+		FormatVersion: quarantine.FormatVersion,
+		Optics:        testConfig().Optics,
+		Engines:       quarantine.EngineMeta{Primary: "rule"},
+		Tile:          quarantine.Tile{WindowPx: 4},
+		TargetW:       4, TargetH: 4, Target: make([]float64, 16),
+	}}
+	bad.Bundle.Optics.NA = 0 // no kernels to build
+	if r := run(context.Background(), bad, nil); !strings.HasPrefix(r.Err, "litho: ") {
+		t.Fatalf("unbuildable simulator: reply error %q", r.Err)
+	}
+}
+
 // TestProcKnobDefaults pins the proc-mode tuning defaults and their
 // overrides.
 func TestProcKnobDefaults(t *testing.T) {
@@ -695,10 +677,11 @@ func TestQuarantineRetentionInFlow(t *testing.T) {
 	l := bigLayout() // tiles 0 and 3 occupied
 	cfg := testConfig()
 	cfg.TileWorkers = 1 // serial: tile 3's bundle is written after tile 0's
-	cfg.Optimize = InjectFaults(ruleFallback(), FaultPlan{
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
+	cfg.Faults = FaultPlan{
 		0: {{NaN: true}},
 		3: {{NaN: true}},
-	})
+	}
 	qdir := filepath.Join(t.TempDir(), "quarantine")
 	cfg.QuarantineDir = qdir
 	cfg.QuarantineMaxBundles = 1

@@ -296,22 +296,15 @@ func (env *runEnv) applyReply(j tileJob, target *grid.Real, r *procpool.Reply, o
 	cfg := env.cfg
 	ox := j.cx - cfg.HaloPx
 	oy := j.cy - cfg.HaloPx
-	var outcomes []AttemptOutcome
-	for _, o := range r.Outcomes {
-		outcomes = append(outcomes, AttemptOutcome{
-			Attempt: o.Attempt, Engine: o.Engine, Err: o.Err,
-			Iters: o.Iters, LastLoss: o.LastLoss, Stalled: o.Stalled,
-		})
-	}
 	out.stat.Path = r.Path
-	applyOutcomes(&out.stat, outcomes)
+	applyOutcomes(&out.stat, r.Attempts)
 	switch r.Path {
 	case PathPrimary, PathFallback:
 		out.raw = r.Shots
 		out.shots = ownedShots(r.Shots, ox, oy, j.cx, j.cy, j.core)
 		out.stat.Shots = len(out.shots)
 	case PathEmpty:
-		env.saveQuarantine(j, target, outcomes, &out.stat)
+		env.saveQuarantine(j, target, r.Attempts, &out.stat)
 	}
 }
 

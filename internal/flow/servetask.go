@@ -3,64 +3,60 @@ package flow
 import (
 	"context"
 	"fmt"
+	"io"
+	"net"
+	"os"
+	"time"
 
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
+	"cfaopc/internal/netpool"
 	"cfaopc/internal/opt"
 	"cfaopc/internal/procpool"
+	"cfaopc/internal/quarantine"
 )
 
-// taskConfig reconstructs the window-level flow Config a task's bundle
-// encodes: the same knobs a live run would have applied to this tile,
-// with the caller-resolved optimizer chain plugged in.
-func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
-	b := &t.Bundle
+// BundleConfig reconstructs the window-level flow Config a bundle
+// encodes: the knobs a live run applied to this tile, its engine names
+// and its recorded fault script. Worker tasks and offline replay both
+// start from it, so both walk the ladder the live run walked.
+func BundleConfig(b *quarantine.Bundle, workers int) Config {
 	cfg := Config{
 		GridN:        b.GridN,
 		CorePx:       b.CorePx,
 		HaloPx:       b.HaloPx,
 		KOpt:         b.KOpt,
-		Workers:      t.Workers,
-		Optimize:     primary,
-		Fallback:     fallback,
+		Workers:      workers,
+		Engines:      b.Engines,
 		TileRetries:  b.TileRetries,
 		TileTimeout:  b.TileTimeout,
 		StallTimeout: b.StallTimeout,
 		RMinPx:       b.RMinPx,
 		RMaxPx:       b.RMaxPx,
-		Engines:      b.Engines,
-		PartialEvery: t.PartialEvery,
 	}
 	if len(b.Faults) > 0 {
-		script := make([]Fault, 0, len(b.Faults))
-		for _, f := range b.Faults {
-			script = append(script, Fault{
-				Sleep: f.Sleep, BeatEvery: f.BeatEvery, Stall: f.Stall,
-				Panic: f.Panic, NaN: f.NaN, BadRadius: f.BadRadius, Kill: f.Kill,
-			})
-		}
-		cfg.Faults = FaultPlan{b.Tile.Index: script}
+		cfg.Faults = FaultPlan{b.Tile.Index: b.Faults}
 	}
 	return cfg
 }
 
 // ServeTask executes one dispatched tile inside a worker process: it
 // rebuilds the window Config from the task's bundle, runs the full
-// degradation ladder via RunWindow with heartbeats and snapshots
-// streaming to sink, and packages the window-local result as the reply
-// frame. The caller resolves the optimizer chain from Bundle.Engines
-// (the flow cannot — engine construction lives above this package) and
-// owns the simulator, which it should cache across tasks since every
-// window in a run shares one imaging condition.
-func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
-	primary, fallback Optimizer, sink procpool.Sink) procpool.Reply {
+// degradation ladder via RunWindow — resolving the bundle's engine
+// names through the same registry the coordinator used — with
+// heartbeats and snapshots streaming to sink, and packages the
+// window-local result as the reply frame. The caller owns the
+// simulator, which it should cache across tasks since every window in a
+// run shares one imaging condition.
+func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task, sink procpool.Sink) procpool.Reply {
 	b := &t.Bundle
 	reply := procpool.Reply{Index: b.Tile.Index}
 	if err := b.ValidateTask(); err != nil {
 		reply.Err = err.Error()
 		return reply
 	}
-	cfg := taskConfig(t, primary, fallback)
+	cfg := BundleConfig(b, t.Workers)
+	cfg.PartialEvery = t.PartialEvery
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: b.Target}
 	hooks := WindowHooks{Dispatch: t.Dispatch}
 	if sink != nil {
@@ -82,7 +78,11 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 		}
 		hooks.ResumeAttempt = r.Attempt
 	}
-	shots, stat, outcomes := RunWindow(ctx, sim, cfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target, hooks)
+	shots, stat, attempts, err := RunWindow(ctx, sim, cfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target, hooks)
+	if err != nil {
+		reply.Err = err.Error()
+		return reply
+	}
 	if stat.Path == "" {
 		// Only a canceled context abandons a ladder; a worker's context
 		// is never canceled mid-task, so this is strictly defensive.
@@ -91,12 +91,7 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 	}
 	reply.Shots = shots
 	reply.Path = stat.Path
-	for _, o := range outcomes {
-		reply.Outcomes = append(reply.Outcomes, procpool.Outcome{
-			Attempt: o.Attempt, Engine: o.Engine, Err: o.Err,
-			Iters: o.Iters, LastLoss: o.LastLoss, Stalled: o.Stalled,
-		})
-	}
+	reply.Attempts = attempts
 	return reply
 }
 
@@ -109,17 +104,17 @@ type simKey struct {
 	workers  int
 }
 
-// SimCache builds and reuses the window simulator across tasks served
-// by one worker process. Kernel setup is the expensive part of a
+// simCache builds and reuses the window simulator across tasks served
+// by one worker session. Kernel setup is the expensive part of a
 // respawn; caching it means a healthy worker pays it once.
-type SimCache struct {
+type simCache struct {
 	key simKey
 	sim *litho.Simulator
 }
 
-// For returns a simulator matching the task's imaging condition,
+// get returns a simulator matching the task's imaging condition,
 // building one only when the condition changed (in practice: once).
-func (c *SimCache) For(t *procpool.Task) (*litho.Simulator, error) {
+func (c *simCache) get(t *procpool.Task) (*litho.Simulator, error) {
 	b := &t.Bundle
 	key := simKey{
 		optics:   fmt.Sprintf("%+v", b.Optics),
@@ -138,4 +133,52 @@ func (c *SimCache) For(t *procpool.Task) (*litho.Simulator, error) {
 	sim.Workers = t.Workers
 	c.sim, c.key = sim, key
 	return sim, nil
+}
+
+// runner builds the task executor one worker session uses. Each call
+// returns an independent executor with its own simulator cache, so
+// concurrent TCP sessions stay race-free.
+func runner() procpool.Runner {
+	var cache simCache
+	return func(ctx context.Context, t *procpool.Task, sink procpool.Sink) procpool.Reply {
+		if err := t.Bundle.ValidateTask(); err != nil {
+			return procpool.Reply{Index: t.Bundle.Tile.Index, Err: err.Error()}
+		}
+		sim, err := cache.get(t)
+		if err != nil {
+			return procpool.Reply{Index: t.Bundle.Tile.Index, Err: "litho: " + err.Error()}
+		}
+		return ServeTask(ctx, sim, t, sink)
+	}
+}
+
+// Serve runs the pipe-transport worker loop on r/w until the
+// supervisor closes the task stream.
+func Serve(r io.Reader, w io.Writer) error {
+	return procpool.Serve(r, w, runner())
+}
+
+// Listen serves the same worker loop over TCP: every coordinator
+// connection is handshaken (protocol version + optional config
+// fingerprint pin, under the handshake deadline) and then served its
+// own task session. It blocks until the listener closes.
+func Listen(ln net.Listener, pin string, handshake time.Duration) error {
+	srv := &netpool.Server{Pin: pin, Handshake: handshake, Runner: runner}
+	return srv.Serve(ln)
+}
+
+// ServeIfWorker is the re-exec branch every worker-capable binary runs
+// first: when the process was spawned as a pipe tile worker
+// (procpool.InWorker), it serves frames on stdin/stdout and exits.
+// Returns without side effects otherwise. A worker resolves task engine
+// names through its own registry, so it serves exactly the engines its
+// binary registers.
+func ServeIfWorker() {
+	if !procpool.InWorker() {
+		return
+	}
+	if err := Serve(os.Stdin, os.Stdout); err != nil {
+		os.Exit(1)
+	}
+	os.Exit(0)
 }

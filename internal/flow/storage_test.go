@@ -11,6 +11,7 @@ import (
 
 	"cfaopc/internal/checkpoint"
 	"cfaopc/internal/iox"
+	"cfaopc/internal/quarantine"
 	"cfaopc/internal/wcache"
 )
 
@@ -24,7 +25,7 @@ func storageConfig() Config {
 	cfg.CorePx = 64
 	cfg.HaloPx = 16
 	cfg.KOpt = 3
-	cfg.Optimize = ruleFallback()
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
 	cfg.KeepMask = false
 	cfg.TileWorkers = 1 // deterministic journal op order for the recorder
 	return cfg
@@ -136,8 +137,6 @@ func TestStorageDegradeNeverFailsRun(t *testing.T) {
 			qdir := filepath.Join(t.TempDir(), "quarantine")
 			plan.PathSubstr = qdir
 			cfg := storageConfig()
-			cfg.Optimize = ruleFallback()
-			cfg.Fallback = nil
 			cfg.QuarantineDir = qdir
 			cfg.Faults = FaultPlan{0: {{Panic: true}}}
 			cfg.FS = iox.NewFaultFS(nil, plan)

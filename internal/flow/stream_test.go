@@ -8,28 +8,20 @@ import (
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
-	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/quarantine"
 )
 
-// fixedRuleOptimizer is a deterministic, simulator-independent engine for
-// the equivalence tests: rule-based circle fracturing at a fixed pixel
-// scale. Because it ignores the simulator, the reference path below can
-// invoke it without building one.
-func fixedRuleOptimizer(dx float64) Optimizer {
-	return func(_ *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		shots := fracture.CircleRule(target, fracture.DefaultCircleRuleConfig(dx))
-		return geom.RasterizeCircles(target.W, target.H, shots), shots
-	}
-}
-
-// referenceFullGridRun replays the pre-streaming flow exactly: rasterize
-// the entire chip, extract every halo window out of the dense grid,
-// optimize, and keep core-owned shots in row-major order. It is the
-// oracle the streaming path must match byte for byte.
+// referenceFullGridRun replays the pre-streaming flow exactly for the
+// "rule" test engine: rasterize the entire chip, extract every halo
+// window out of the dense grid, fracture it, and keep core-owned shots
+// in row-major order. It is the oracle the streaming path must match
+// byte for byte. It builds no simulator: the window pitch is computed
+// exactly as litho.New derives it from the window's optics.
 func referenceFullGridRun(l *layout.Layout, cfg Config) ([]geom.Circle, *grid.Real) {
 	full := l.Rasterize(cfg.GridN)
 	window := cfg.CorePx + 2*cfg.HaloPx
+	dx := float64(window) * (float64(l.TileNM) / float64(cfg.GridN)) / float64(window)
 	var shots []geom.Circle
 	for cy := 0; cy < cfg.GridN; cy += cfg.CorePx {
 		for cx := 0; cx < cfg.GridN; cx += cfg.CorePx {
@@ -38,7 +30,7 @@ func referenceFullGridRun(l *layout.Layout, cfg Config) ([]geom.Circle, *grid.Re
 			if !occupied {
 				continue
 			}
-			_, ws := cfg.Optimize(nil, target)
+			ws := fracture.CircleRule(target, fracture.DefaultCircleRuleConfig(dx))
 			shots = append(shots, ownedShots(ws, ox, oy, cx, cy, cfg.CorePx)...)
 		}
 	}
@@ -71,7 +63,6 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 			l := layout.GenerateRandom(tc.seed, layout.RandomConfig{
 				TileNM: 2048, Features: 7, MarginNM: 128,
 			})
-			dx := float64(l.TileNM) / float64(tc.gridN)
 			mk := func(workers int, w MaskWriter) Config {
 				return Config{
 					GridN:       tc.gridN,
@@ -80,7 +71,7 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 					Optics:      optics.Default(),
 					KOpt:        2,
 					TileWorkers: workers,
-					Optimize:    fixedRuleOptimizer(dx),
+					Engines:     quarantine.EngineMeta{Primary: "rule"},
 					RMaxPx:      tc.rMaxPx,
 					KeepMask:    true,
 					MaskWriter:  w,
@@ -125,12 +116,12 @@ func TestStreamingDropsDenseMask(t *testing.T) {
 	l := layout.GenerateRandom(5, layout.RandomConfig{Features: 6, MarginNM: 128})
 	const gridN = 512
 	cfg := Config{
-		GridN:    gridN,
-		CorePx:   64,
-		HaloPx:   16,
-		Optics:   optics.Default(),
-		KOpt:     2,
-		Optimize: fixedRuleOptimizer(float64(l.TileNM) / gridN),
+		GridN:   gridN,
+		CorePx:  64,
+		HaloPx:  16,
+		Optics:  optics.Default(),
+		KOpt:    2,
+		Engines: quarantine.EngineMeta{Primary: "rule"},
 	}
 	res, err := Run(l, cfg)
 	if err != nil {
@@ -173,7 +164,7 @@ func (failingWriter) WriteBand(int, *grid.Real) error { return fmt.Errorf("disk 
 func TestMaskWriterErrorSurfaces(t *testing.T) {
 	l := bigLayout()
 	cfg := testConfig()
-	cfg.Optimize = fixedRuleOptimizer(float64(l.TileNM) / float64(cfg.GridN))
+	cfg.Engines = quarantine.EngineMeta{Primary: "rule"}
 	cfg.MaskWriter = failingWriter{}
 	if _, err := Run(l, cfg); err == nil {
 		t.Fatal("writer error did not fail the run")

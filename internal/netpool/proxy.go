@@ -12,7 +12,7 @@ import (
 )
 
 // FaultKind enumerates the link failures the chaos Proxy injects — the
-// network analog of flow.InjectFaults' per-attempt fault script.
+// network analog of flow.FaultPlan's per-attempt fault script.
 type FaultKind int
 
 const (

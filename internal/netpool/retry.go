@@ -3,7 +3,7 @@
 // side, a Server wrapping procpool.ServeTasks on the worker side, the
 // retry policy both sides of the flow's supervisor share (exponential
 // Backoff, per-host circuit Breaker), and a deterministic chaos Proxy —
-// the network analog of flow.InjectFaults — for exercising every link
+// the network analog of flow.FaultPlan — for exercising every link
 // failure mode on a scripted schedule.
 //
 // The package deliberately adds no protocol of its own beyond the

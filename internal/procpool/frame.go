@@ -9,9 +9,11 @@
 // is a quarantine.Bundle (the self-contained window encoding PR 4
 // introduced for post-mortem repro, promoted here to a live wire
 // format), and the Runner that executes it is injected by the caller.
-// That keeps procpool a leaf below both internal/flow (which supervises
-// workers) and internal/procworker (which serves them), so neither
-// direction creates an import cycle.
+// That keeps procpool a leaf below internal/flow, which both supervises
+// workers and — through flow.Serve, flow.Listen and flow.ServeIfWorker
+// — serves them, resolving each task's optimizer chain from the
+// bundle's engine names through the same engine registry an
+// in-process run uses.
 package procpool
 
 import (

@@ -12,8 +12,12 @@ import (
 // ProtocolVersion is bumped whenever the message schema changes
 // incompatibly; the supervisor rejects a worker whose Hello disagrees.
 // v2 added the TCP handshake fields (Fingerprint, Reject) for
-// internal/netpool's multi-host transport.
-const ProtocolVersion = 2
+// internal/netpool's multi-host transport; v3 replaced the reply's
+// per-attempt Outcomes with Attempts in the quarantine record schema
+// (the attempt counter field is Index, not Attempt), so a worker of an
+// older build is refused at the handshake instead of gob silently
+// zeroing the renamed field.
+const ProtocolVersion = 3
 
 // Hello is the handshake frame. On a stdin/stdout pipe only the worker
 // sends one (version + liveness proof, before any task is accepted).
@@ -68,7 +72,7 @@ type Task struct {
 	// Dispatch counts how many times this tile has been handed to a
 	// worker (0 on the first dispatch, +1 per crash-redispatch). It is
 	// published on the attempt context so deterministic process-fatal
-	// fault scripts (flow.Fault.Kill) stop firing after the scripted
+	// fault scripts (quarantine.Fault.Kill) stop firing after the scripted
 	// number of kills.
 	Dispatch int
 	// Workers is the per-kernel litho parallelism inside the worker.
@@ -97,16 +101,6 @@ type Partial struct {
 	State PartialState
 }
 
-// Outcome mirrors one flow.AttemptOutcome in wire form.
-type Outcome struct {
-	Attempt  int
-	Engine   string
-	Err      string
-	Iters    int
-	LastLoss float64
-	Stalled  bool
-}
-
 // Reply is the worker's result for one task: window-local shots (the
 // supervisor applies core ownership), the degradation path, and the
 // per-attempt history that keeps TileStat truthful. Err is a
@@ -117,7 +111,7 @@ type Reply struct {
 	Index    int
 	Shots    []geom.Circle
 	Path     string
-	Outcomes []Outcome
+	Attempts []quarantine.Attempt
 	Err      string
 }
 

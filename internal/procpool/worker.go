@@ -21,7 +21,7 @@ func InWorker() bool { return os.Getenv(WorkerEnv) == "1" }
 // SelfKill terminates the current process with SIGKILL — no deferred
 // cleanup, no reply frame, exactly what an OOM kill or a runtime fatal
 // looks like from the supervisor's side. The deterministic fault
-// harness (flow.Fault.Kill) uses it to script worker death mid-tile.
+// harness (quarantine.Fault.Kill) uses it to script worker death mid-tile.
 // It never returns.
 func SelfKill() {
 	syscall.Kill(os.Getpid(), syscall.SIGKILL)

@@ -56,7 +56,9 @@ type EngineMeta struct {
 	SampleNM float64 // circle sample distance in nm
 }
 
-// Attempt is one optimizer invocation as recorded live by the flow.
+// Attempt is one optimizer invocation as recorded live by the flow: it
+// feeds TileStat.Failure, the worker reply frame, quarantine bundles
+// and replay comparison.
 type Attempt struct {
 	Index    int    // global attempt counter; the fallback is TileRetries+1
 	Engine   string // "primary" or "fallback"
@@ -66,20 +68,39 @@ type Attempt struct {
 	Stalled  bool // killed by the stall watchdog, not the wall deadline
 }
 
-// Fault mirrors flow.Fault without importing it (the flow imports this
-// package). A recorded script lets replays re-inject the same
-// deterministic failures.
+// Fault is one injected failure mode for a single optimizer attempt,
+// the unit of the flow's deterministic fault scripts (flow.FaultPlan).
+// A bundle records its tile's script so replays re-inject the same
+// failures. Fields compose: Stall and Sleep run first, then Panic, then
+// NaN, then BadRadius.
 type Fault struct {
-	Sleep     time.Duration
-	Panic     bool
-	NaN       bool
+	// Sleep blocks before anything else, respecting the attempt's
+	// context so per-tile timeouts and run cancellation stay prompt.
+	Sleep time.Duration
+	// Panic aborts the attempt with a panic, exercising the isolation
+	// recover path.
+	Panic bool
+	// NaN returns a NaN-poisoned mask and shot list, exercising output
+	// validation.
+	NaN bool
+	// BadRadius returns one shot with a radius far outside any sane
+	// [RMin, RMax] bound, exercising the radius check.
 	BadRadius bool
-	Stall     bool
+	// Stall blocks until the attempt's context is canceled without ever
+	// emitting a heartbeat — a wedged optimizer, the failure mode the
+	// stall watchdog exists to kill early.
+	Stall bool
+	// BeatEvery, when > 0, emits synthetic optimizer heartbeats at that
+	// interval while the injected Sleep runs — the signature of a tile
+	// that is slow but alive, which the stall watchdog must spare.
 	BeatEvery time.Duration
-	// Kill scripts process-fatal death: a tile worker subprocess
-	// SIGKILLs itself while this tile's dispatch counter is below Kill.
-	// It is a no-op in-process, so the same script drives proc-mode
-	// crash testing and leaves serial reference runs untouched.
+	// Kill, when > 0, SIGKILLs the whole process — mid-tile, no reply,
+	// no cleanup — while the tile's dispatch counter is below Kill, but
+	// only inside a tile-worker subprocess. Kill: 1 scripts one crash
+	// followed by a clean redispatch; a huge Kill scripts a crash loop
+	// that must trip the supervisor's circuit breaker. It is a no-op
+	// in-process, so the same script drives proc-mode crash testing and
+	// leaves serial reference runs untouched.
 	Kill int
 }
 

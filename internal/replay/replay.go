@@ -1,9 +1,10 @@
 // Package replay re-runs a quarantine bundle offline. A bundle is a
 // complete description of one failed tile — target raster, optics,
 // tiling knobs, engine metadata, injected-fault script, recorded
-// attempt history — so Run can reconstruct the exact optimizer chain
-// (engine.FromMeta), re-inject the same deterministic faults, walk the
-// same primary → retries → fallback ladder (flow.ReplayWindow), and
+// attempt history — so Run can rebuild the window's flow config
+// (flow.BundleConfig), resolve the same engine names through the same
+// registry, re-inject the same deterministic faults, walk the same
+// primary → retries → fallback ladder (flow.RunWindow), and
 // compare what happened against what the live run recorded. That
 // comparison is the point: "reproduced" means the failure is
 // deterministic and debuggable from the bundle alone; a divergence
@@ -19,7 +20,6 @@ import (
 	"context"
 	"fmt"
 
-	"cfaopc/internal/engine"
 	"cfaopc/internal/flow"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
@@ -74,13 +74,12 @@ func Run(ctx context.Context, b *quarantine.Bundle, o Options) (*Report, error) 
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	meta := b.Engines
+	cfg := flow.BundleConfig(b, o.Workers)
 	if o.Fixed != "" {
-		meta.Primary = o.Fixed
+		cfg.Engines.Primary = o.Fixed
 	}
-	primary, fallback, err := engine.FromMeta(meta)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+	if o.NoFaults {
+		cfg.Faults = nil
 	}
 
 	sim, err := litho.New(b.Optics, b.Tile.WindowPx)
@@ -90,54 +89,24 @@ func Run(ctx context.Context, b *quarantine.Bundle, o Options) (*Report, error) 
 	sim.KOpt = b.KOpt
 	sim.Workers = o.Workers
 
-	cfg := flow.Config{
-		GridN:        b.GridN,
-		CorePx:       b.CorePx,
-		HaloPx:       b.HaloPx,
-		KOpt:         b.KOpt,
-		Workers:      o.Workers,
-		Optimize:     primary,
-		Fallback:     fallback,
-		TileRetries:  b.TileRetries,
-		TileTimeout:  b.TileTimeout,
-		StallTimeout: b.StallTimeout,
-		RMinPx:       b.RMinPx,
-		RMaxPx:       b.RMaxPx,
-		Engines:      meta,
-	}
-	if len(b.Faults) > 0 && !o.NoFaults {
-		script := make([]flow.Fault, len(b.Faults))
-		for i, f := range b.Faults {
-			script[i] = flow.Fault{
-				Sleep: f.Sleep, BeatEvery: f.BeatEvery, Stall: f.Stall,
-				Panic: f.Panic, NaN: f.NaN, BadRadius: f.BadRadius, Kill: f.Kill,
-			}
-		}
-		cfg.Faults = flow.FaultPlan{b.Tile.Index: script}
-	}
-
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: append([]float64(nil), b.Target...)}
-	shots, stat, outcomes := flow.ReplayWindow(ctx, sim, cfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target)
+	shots, stat, replayed, err := flow.RunWindow(ctx, sim, cfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target, flow.WindowHooks{})
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
 
 	rep := &Report{Bundle: b, Stat: stat, Shots: shots}
-	n := len(b.Attempts)
-	if len(outcomes) > n {
-		n = len(outcomes)
-	}
-	errsMatch := len(outcomes) == len(b.Attempts)
+	n := max(len(b.Attempts), len(replayed))
+	errsMatch := len(replayed) == len(b.Attempts)
 	for i := 0; i < n; i++ {
 		d := AttemptDiff{Index: i}
 		if i < len(b.Attempts) {
 			d.Recorded = b.Attempts[i]
 		}
-		if i < len(outcomes) {
-			oc := outcomes[i]
-			d.Replayed = quarantine.Attempt{
-				Index: oc.Attempt, Engine: oc.Engine, Err: oc.Err,
-				Iters: oc.Iters, LastLoss: oc.LastLoss, Stalled: oc.Stalled,
-			}
+		if i < len(replayed) {
+			d.Replayed = replayed[i]
 		}
-		d.Match = i < len(b.Attempts) && i < len(outcomes) &&
+		d.Match = i < len(b.Attempts) && i < len(replayed) &&
 			d.Recorded.Engine == d.Replayed.Engine && d.Recorded.Err == d.Replayed.Err
 		if !d.Match {
 			errsMatch = false

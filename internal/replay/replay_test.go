@@ -13,9 +13,8 @@ import (
 )
 
 // quarantinedBundle runs a small tiled flow with an always-failing tile
-// and returns the bundle the flow wrote for it. Lives here (not in
-// package flow) because the full loop — flow writes, engine rebuilds,
-// replay re-runs — crosses an import cycle flow's own tests cannot.
+// and returns the bundle the flow wrote for it — the full loop: the
+// flow writes, replay rebuilds from the bundle alone and re-runs.
 func quarantinedBundle(t *testing.T) *quarantine.Bundle {
 	t.Helper()
 	l := &layout.Layout{
@@ -28,24 +27,17 @@ func quarantinedBundle(t *testing.T) *quarantine.Bundle {
 			{X: 660, Y: 660, W: 80, H: 220},
 		},
 	}
-	opts := engine.Options{Iters: 8, Gamma: 3, SampleNM: 32}
-	primary, err := engine.For("circlerule", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := flow.Config{
 		GridN:         256,
 		CorePx:        128,
 		HaloPx:        32,
 		Optics:        optics.Default(),
 		KOpt:          4,
-		Optimize:      primary,
-		Fallback:      primary,
 		TileRetries:   1,
 		RMinPx:        1,
 		RMaxPx:        40,
 		QuarantineDir: filepath.Join(t.TempDir(), "quarantine"),
-		Engines:       engine.Meta("circlerule", "circlerule", opts),
+		Engines:       engine.Meta("circlerule", "circlerule", engine.Options{Iters: 8, Gamma: 3, SampleNM: 32}),
 		Faults: flow.FaultPlan{
 			3: {{Panic: true}, {Panic: true}, {Panic: true}}, // primary ×2 + fallback
 		},

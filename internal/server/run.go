@@ -54,11 +54,6 @@ type RunOpts struct {
 // which is what makes "daemon output == direct CLI output" a
 // byte-for-byte statement rather than a hope.
 func RunSpec(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*flow.Result, error) {
-	engOpts := engine.Options{Iters: spec.Iters, Gamma: spec.Gamma, SampleNM: spec.SampleNM}
-	optimize, err := engine.For(spec.Method, engOpts)
-	if err != nil {
-		return nil, err
-	}
 	dx := float64(l.TileNM) / float64(spec.GridN)
 	cfg := flow.Config{
 		GridN:       spec.GridN,
@@ -67,7 +62,8 @@ func RunSpec(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*
 		Optics:      optics.Default(),
 		KOpt:        spec.KOpt,
 		TileWorkers: spec.TileWorkers,
-		Optimize:    optimize,
+		Engines: engine.Meta(spec.Method, spec.Fallback,
+			engine.Options{Iters: spec.Iters, Gamma: spec.Gamma, SampleNM: spec.SampleNM}),
 		TileRetries: 1,
 		// MRC radius window (12-76 nm) scaled to window pixels, with
 		// the same tolerance band the CLI uses.
@@ -81,19 +77,10 @@ func RunSpec(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*
 		Events:         o.Events,
 		Drain:          o.Drain,
 	}
-	fbName := ""
-	if spec.Fallback != "none" {
-		fb, err := engine.For(spec.Fallback, engOpts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Fallback = fb
-		fbName = spec.Fallback
-	}
-	cfg.Engines = engine.Meta(spec.Method, fbName, engOpts)
 
 	var bands *bandFile
 	if o.MaskPath != "" {
+		var err error
 		bands, err = newBandFile(o.FS, o.MaskPath, spec.GridN, o.OnBand)
 		if err != nil {
 			return nil, err

@@ -92,16 +92,20 @@ func ParseSpec(r io.Reader) (*JobSpec, error) {
 	return &s, nil
 }
 
-// Normalize fills zero-valued knobs with their defaults. It is
-// idempotent: normalizing a normalized spec changes nothing.
+// Normalize fills zero-valued knobs with their defaults and lowercases
+// the engine names, which the registry matches case-insensitively
+// (Validate checks them against it). It is idempotent: normalizing a
+// normalized spec changes nothing.
 func (s *JobSpec) Normalize() {
 	def := engine.Defaults()
 	if s.Tenant == "" {
 		s.Tenant = "default"
 	}
+	s.Method = strings.ToLower(s.Method)
 	if s.Method == "" {
 		s.Method = "circleopt"
 	}
+	s.Fallback = strings.ToLower(s.Fallback)
 	if s.Fallback == "" {
 		s.Fallback = "circlerule"
 	}
@@ -162,10 +166,10 @@ func (s *JobSpec) Validate() error {
 	if s.Priority < -100 || s.Priority > 100 {
 		return fmt.Errorf("spec: priority %d outside -100..100", s.Priority)
 	}
-	if !knownMethod(s.Method) {
+	if !engine.Known(s.Method) {
 		return fmt.Errorf("spec: unknown method %q", s.Method)
 	}
-	if s.Fallback != "none" && !knownMethod(s.Fallback) {
+	if s.Fallback != "none" && !engine.Known(s.Fallback) {
 		return fmt.Errorf("spec: unknown fallback %q", s.Fallback)
 	}
 	if s.GridN < minWindow || s.GridN > maxGrid {
@@ -237,15 +241,6 @@ func (s *JobSpec) ResolveLayout(root string) (*layout.Layout, error) {
 		return gds.Read(f, -1)
 	}
 	return layout.Parse(f)
-}
-
-func knownMethod(name string) bool {
-	for _, n := range engine.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 func finitePositive(v float64) bool {

@@ -45,7 +45,9 @@ func TestParseSpecRejects(t *testing.T) {
 		{"bad tenant", `{"case":1,"tenant":"a b!"}`, "tenant"},
 		{"priority out of range", `{"case":1,"priority":1000}`, "priority"},
 		{"unknown method", `{"case":1,"method":"magic"}`, "unknown method"},
+		{"unknown method, mixed case", `{"case":1,"method":"Magic"}`, "unknown method"},
 		{"unknown fallback", `{"case":1,"fallback":"magic"}`, "unknown fallback"},
+		{"unknown fallback, mixed case", `{"case":1,"fallback":"NoneOfThese"}`, "unknown fallback"},
 		{"grid too small", `{"case":1,"grid":16}`, "grid 16"},
 		{"grid too large", `{"case":1,"grid":1000000}`, "grid 1000000"},
 		{"window below floor", `{"case":1,"grid":64,"tile_core":8,"tile_halo":8}`, "below the 48 px floor"},
@@ -114,6 +116,40 @@ func TestSpecDeadlineBoundsAndRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseSpecEngineNamesAnyCase: engine names match the registry
+// case-insensitively, as on the cfaopc command line, and normalize to
+// lowercase so one chain has one canonical spec (and one journal).
+func TestParseSpecEngineNamesAnyCase(t *testing.T) {
+	def, err := parseSpecString(t, `{"case":1}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{
+		`{"case":1,"method":"CircleOpt"}`,
+		`{"case":1,"method":"CIRCLEOPT","fallback":"CircleRule"}`,
+	} {
+		spec, err := parseSpecString(t, in)
+		if err != nil {
+			t.Fatalf("%s rejected: %v", in, err)
+		}
+		if !spec.Equal(def) {
+			t.Fatalf("%s normalized to %s, want %s", in, spec.Canonical(), def.Canonical())
+		}
+		again := *spec
+		again.Normalize()
+		if !again.Equal(spec) {
+			t.Fatalf("Normalize not idempotent on %s", spec.Canonical())
+		}
+	}
+	spec, err := parseSpecString(t, `{"case":1,"method":"DevelSet","fallback":"NONE"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Method != "develset" || spec.Fallback != "none" {
+		t.Fatalf("names not lowercased: method %q fallback %q", spec.Method, spec.Fallback)
+	}
+}
+
 func TestSpecCanonicalRoundTrip(t *testing.T) {
 	a, err := parseSpecString(t, `{"case":3,"priority":7,"tenant":"alice","iters":2}`)
 	if err != nil {
@@ -138,6 +174,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"case":10,"grid":512,"tile_core":256,"tile_halo":64}`,
 		`{"layout":"a/b.glp","tenant":"alice","priority":-3}`,
 		`{"layout":"x.gds","method":"develset","fallback":"none"}`,
+		`{"case":2,"method":"CircleOpt","fallback":"NONE"}`,
 		`{"case":1,"gamma":0.5,"sample_nm":16,"iters":1}`,
 		`{"case":1,"deadline_ms":30000,"priority":5}`,
 		`{"case":1,"deadline_ms":-7}`,
@@ -171,6 +208,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if spec.DeadlineMS < 0 || spec.DeadlineMS > 86_400_000 {
 			t.Fatalf("accepted deadline_ms %d", spec.DeadlineMS)
+		}
+		if spec.Method != strings.ToLower(spec.Method) || spec.Fallback != strings.ToLower(spec.Fallback) {
+			t.Fatalf("accepted engine names not lowercased: %q / %q", spec.Method, spec.Fallback)
 		}
 		window := spec.TileCore + 2*spec.TileHalo
 		if window < minWindow || window > spec.GridN || spec.GridN > maxGrid {
